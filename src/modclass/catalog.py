@@ -16,6 +16,19 @@ Basis conventions: gl(n) uses the elementary matrices in row-major order
 e11, e12, ..., enn; sl(n) uses the off-diagonal elementary matrices in
 row-major order followed by h1, ..., h(n-1) with hk the difference of the
 k-th and (k+1)-st diagonal units.
+
+Structure constants come from the closed form for matrix units,
+
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj,
+
+applied to sparse sums of units; no matrix is formed.  For sl(n) the
+diagonal part of a bracket, sum d_i E_ii with trace zero, is rewritten in
+the h-basis by partial sums: its hk coefficient is d_1 + ... + d_k.  The
+plane-affine algebra is the span of the units E_ij with i <= 2 in gl(3).
+The test suite rebuilds every one of these algebras a second way, by
+forming the matrix commutators and solving for their coordinates
+(``matrix_basis_algebra`` in tests/test_catalog.py), and requires equal
+labels and bracket tables.
 """
 
 from __future__ import annotations
@@ -26,66 +39,83 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .liealg import Cochain, LieAlgebra, Multivector, Subalgebra, ce_differential, span_subalgebra
-from .linalg import LinearSolver, Matrix, Vector
+from .linalg import Vector
 from .twisted import ModularClassReport, TwistedTriangularStructure, modular_class
 
 
-def _algebra_from_matrix_basis(
-    labels: Sequence[str], matrices: Sequence[Sequence[Sequence[int | Fraction]]]
+_Unit = tuple[int, int]
+
+
+def _algebra_from_units(
+    labels: Sequence[str],
+    basis: Sequence[dict[_Unit, int]],
+    coords: Callable[[dict[_Unit, int]], dict[int, int]],
 ) -> LieAlgebra:
-    """Structure constants from a basis of square matrices (exact arithmetic)."""
-    mats = [Matrix(m) for m in matrices]
-    size = mats[0].rows
-    flats = [
-        [m[i, j] for i in range(size) for j in range(size)] for m in mats
-    ]
-    solver = LinearSolver(Matrix.from_columns(flats))
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, b in itertools.combinations(range(len(mats)), 2):
-        comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-        flat = [comm[i, j] for i in range(size) for j in range(size)]
-        coords = solver.solve(flat).vector
-        entry = {k: c for k, c in enumerate(coords) if c != 0}
+    """Structure constants of a span of matrices written as sums of units.
+
+    ``basis`` gives each element as a sparse sum of matrix units E_ij and
+    ``coords`` maps such a sum, known to lie in the span, back to sparse
+    basis coordinates.  Commutators use the closed form
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj.  The Lie algebra constructor
+    checks the Jacobi identity of the result.
+    """
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        comm: dict[_Unit, int] = {}
+        for (i, j), x in basis[a].items():
+            for (k, l), y in basis[b].items():
+                if j == k:
+                    comm[(i, l)] = comm.get((i, l), 0) + x * y
+                if l == i:
+                    comm[(k, j)] = comm.get((k, j), 0) - x * y
+        entry = coords({u: c for u, c in comm.items() if c})
         if entry:
-            table[(a, b)] = entry
+            table[(a, b)] = dict(sorted(entry.items()))
     return LieAlgebra(labels, table)
-
-
-def _elementary(n: int, i: int, j: int) -> list[list[int]]:
-    return [[1 if (r, c) == (i - 1, j - 1) else 0 for c in range(n)] for r in range(n)]
 
 
 def _label(i: int, j: int) -> str:
     return f"e{i}{j}" if max(i, j) <= 9 else f"e{i}_{j}"
 
 
+def _unit_span(units: Sequence[_Unit]) -> LieAlgebra:
+    """The span of the given matrix units, which must be bracket-closed."""
+    index = {u: a for a, u in enumerate(units)}
+    return _algebra_from_units(
+        [_label(i, j) for i, j in units],
+        [{u: 1} for u in units],
+        lambda comm: {index[u]: c for u, c in comm.items()},
+    )
+
+
 def gl(n: int) -> LieAlgebra:
     """General linear algebra on the elementary-matrix basis, row-major."""
     if n < 1:
         raise ValueError("gl(n) needs n >= 1")
-    labels = [_label(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    mats = [_elementary(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return _algebra_from_matrix_basis(labels, mats)
+    return _unit_span([(i, j) for i in range(1, n + 1) for j in range(1, n + 1)])
 
 
 def sl(n: int) -> LieAlgebra:
     """Traceless matrices: off-diagonal units then diagonal differences."""
     if n < 2:
         raise ValueError("sl(n) needs n >= 2")
-    labels = [_label(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    mats = [
-        _elementary(n, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
-    for k in range(1, n):
-        labels.append(f"h{k}")
-        m = [[0] * n for _ in range(n)]
-        m[k - 1][k - 1] = 1
-        m[k][k] = -1
-        mats.append(m)
-    return _algebra_from_matrix_basis(labels, mats)
+    units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    index = {u: a for a, u in enumerate(units)}
+    labels = [_label(i, j) for i, j in units] + [f"h{k}" for k in range(1, n)]
+    basis = [{u: 1} for u in units] + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(1, n)]
+
+    def coords(comm: dict[_Unit, int]) -> dict[int, int]:
+        # a traceless diagonal sum of d_i E_ii is the sum of c_k h_k with
+        # c_k = d_1 + ... + d_k
+        out = {index[(i, j)]: c for (i, j), c in comm.items() if i != j}
+        partial = 0
+        for k in range(1, n):
+            partial += comm.get((k, k), 0)
+            if partial:
+                out[len(units) + k - 1] = partial
+        return out
+
+    return _algebra_from_units(labels, basis, coords)
 
 
 def affine_algebra() -> LieAlgebra:
@@ -93,9 +123,7 @@ def affine_algebra() -> LieAlgebra:
 
     Isomorphic to the Lie algebra of affine transformations of the plane.
     """
-    labels = [_label(i, j) for i in range(1, 3) for j in range(1, 4)]
-    mats = [_elementary(3, i, j) for i in range(1, 3) for j in range(1, 4)]
-    return _algebra_from_matrix_basis(labels, mats)
+    return _unit_span([(i, j) for i in range(1, 3) for j in range(1, 4)])
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,14 @@ def _require(data: StructureData, field: str, command: str):
     return value
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write a structure file; an unwritable path is bad input, like an unreadable one."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StructureFileError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _span_or_fail(g, vectors):
     try:
         return span_subalgebra(g, vectors)
@@ -348,7 +356,7 @@ def cmd_linearize(args) -> int:
         )
         text = serialize(out)
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            _write_output(args.output, text)
             report.add(f"wrote {args.output}", "output", args.output)
             report.add("status: OK", "status", "ok")
             report.emit(args.format)
@@ -375,7 +383,7 @@ def cmd_catalog(args) -> int:
         if not args.check:
             text = serialize(from_catalog_entry(entry))
             if args.output:
-                Path(args.output).write_text(text, encoding="utf-8")
+                _write_output(args.output, text)
                 report.add(f"wrote {args.output}", "output", args.output)
                 report.add("status: OK", "status", "ok")
                 report.emit(args.format)

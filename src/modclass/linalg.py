@@ -4,6 +4,12 @@ Everything here is built on ``fractions.Fraction``: no floating point
 anywhere, so equality checks throughout the package are exact.  Matrices
 are immutable and small (dimensions up to ~100), so plain fraction-reducing
 Gaussian elimination is used instead of fraction-free variants.
+
+Products skip zeros: ``dot`` multiplies only the pairs of entries that are
+both nonzero, and ``Matrix.apply``, ``Matrix.__matmul__`` and
+``LinearSolver.solve`` go through it.  The vectors and matrices of this
+package are mostly zeros, and since the arithmetic is exact the skipped
+terms cannot change any result.
 """
 
 from __future__ import annotations
@@ -67,7 +73,12 @@ def scale_vector(c: Fraction, x: Sequence[Fraction]) -> Vector:
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
+    """Exact inner product over the pairs of entries that are both nonzero."""
+    total = Fraction(0)
+    for a, b in zip(x, y, strict=True):
+        if a and b:
+            total += a * b
+    return total
 
 
 class Matrix:

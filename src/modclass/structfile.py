@@ -35,6 +35,7 @@ parse error.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,10 +76,22 @@ def _is_rational(token: str) -> bool:
     return bool(_RAT_RE.match(token))
 
 
+def _fraction(token: str, line: int) -> Fraction:
+    """A rational literal; one too long for int() conversion is malformed."""
+    try:
+        return Fraction(token)
+    except ValueError as exc:
+        raise _fail(
+            "rational literal too long: a numerator or denominator has more "
+            f"than {sys.get_int_max_str_digits()} digits",
+            line,
+        ) from exc
+
+
 def _parse_rational(token: str, line: int) -> Fraction:
     if not _is_rational(token):
         raise _fail(f"expected an exact rational, got {token!r}", line)
-    return Fraction(token)
+    return _fraction(token, line)
 
 
 def _parse_combination(tokens: list[str], labels: dict[str, int], line: int) -> Vector:
@@ -98,7 +111,7 @@ def _parse_combination(tokens: list[str], labels: dict[str, int], line: int) -> 
         elif _is_rational(tok):
             if coeff is not None:
                 raise _fail("two consecutive coefficients in expression", line)
-            coeff = Fraction(tok)
+            coeff = _fraction(tok, line)
         elif tok in labels:
             c = sign * (coeff if coeff is not None else Fraction(1))
             out[labels[tok]] += c
@@ -273,6 +286,8 @@ def parse_path(path) -> StructureData:
             text = fh.read()
     except OSError as exc:
         raise StructureFileError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise StructureFileError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     return parse(text)
 
 

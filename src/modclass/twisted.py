@@ -281,15 +281,59 @@ def dual_bracket(
     return Cochain.from_covector(out)
 
 
+# (u, v, w, sign): the orderings of a psi index triple, with their signs
+_PSI_SLOTS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 2, -1), (0, 2, 1, -1), (2, 1, 0, -1))
+
+
 def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Dual structure constants [e_a*, e_b*] for a < b, built once, sparsely.
+
+    The same bracket as ``dual_bracket``, summed straight from the images
+    x = r#e_a*, y = r#e_b*, the bracket table and the terms of psi:
+
+    * the coadjoint part is ad*_x e_b* - ad*_y e_a*, and
+      <ad*_x e_b*, e_j> = -(e_b-coefficient of [x, e_j]);
+    * psi(x, y, e_w) sums sign * c * x_u * y_v over the six orderings
+      (u, v, w) of each term c e_p* ^ e_q* ^ e_s* of psi.
+    """
     if structure._dual_table is None:
         g = structure.g
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a, b in itertools.combinations(range(g.dim), 2):
-            w = dual_bracket(structure, Cochain.basis(g.dim, a), Cochain.basis(g.dim, b))
-            entry = {k[0]: c for k, c in w.terms.items()}
+        cols = structure.sharp_columns()
+        adj = g.adjacency()
+        acc: dict[tuple[int, int], dict[int, Fraction]] = {}
+
+        def add(a: int, b: int, j: int, value: Fraction) -> None:
+            entry = acc.setdefault((a, b), {})
+            entry[j] = entry.get(j, 0) + value
+
+        for a, col in enumerate(cols):
+            for i, xi in col.items():
+                for j, entry, sign in adj[i]:
+                    for k, c in entry.items():
+                        # sign * xi * c is the e_k-coefficient of [x, e_j]
+                        if a < k:
+                            add(a, k, j, -sign * xi * c)
+                        elif k < a:
+                            add(k, a, j, sign * xi * c)
+
+        # rows[m] maps a to the m-th coordinate of r#e_a*
+        rows: list[dict[int, Fraction]] = [{} for _ in range(g.dim)]
+        for a, col in enumerate(cols):
+            for m, v in col.items():
+                rows[m][a] = v
+        for idx, c in structure.psi.terms.items():
+            for u, v, w, sign in _PSI_SLOTS:
+                signed = sign * c
+                for a, xa in rows[idx[u]].items():
+                    for b, yb in rows[idx[v]].items():
+                        if a < b:
+                            add(a, b, idx[w], signed * xa * yb)
+
+        table = {}
+        for key in sorted(acc):
+            entry = {j: v for j, v in sorted(acc[key].items()) if v != 0}
             if entry:
-                table[(a, b)] = entry
+                table[key] = entry
         object.__setattr__(structure, "_dual_table", table)
     return structure._dual_table
 
@@ -306,6 +350,17 @@ def dual_lie_algebra(structure: TwistedTriangularStructure, *, check: bool = Tru
         algebra = LieAlgebra(labels, _dual_table(structure), check=check)
         object.__setattr__(structure, "_dual", algebra)
     return structure._dual
+
+
+def _pair(x: dict[int, Fraction], y: dict[int, Fraction]) -> Fraction:
+    """Pairing of two sparse vectors."""
+    return sum((c * y[i] for i, c in x.items() if i in y), Fraction(0))
+
+
+def _add_scaled(acc: dict[int, Fraction], scale: Fraction, x: dict[int, Fraction]) -> None:
+    """acc += scale * x, on sparse vectors."""
+    for j, c in x.items():
+        acc[j] = acc.get(j, 0) + scale * c
 
 
 def carrier_and_kernel(
@@ -328,23 +383,28 @@ def carrier_and_kernel(
     ann = annihilator(g, carrier)
     if ann != kernel:
         raise StructureInvariantError("kernel of r# differs from the carrier annihilator")
-    kernel_vectors = [k.to_vector() for k in kernel]
-    for kv in kernel_vectors:
-        for b in range(g.dim):
-            w = dual_bracket(structure, Cochain.from_covector(kv), Cochain.basis(g.dim, b))
-            wv = w.to_vector()
-            in_kernel = all(
-                dot(row, wv) == 0 for row in Matrix(carrier.basis).entries
-            ) if carrier.dim else True
-            if not in_kernel:
-                raise StructureInvariantError("kernel of r# is not an ideal of the dual algebra")
-    for u, v in itertools.combinations_with_replacement(range(len(kernel_vectors)), 2):
-        w = dual_bracket(
-            structure,
-            Cochain.from_covector(kernel_vectors[u]),
-            Cochain.from_covector(kernel_vectors[v]),
-        )
-        if not w.is_zero():
+    # [k, e_b*] = sum over a of k_a [e_a*, e_b*], for every kernel vector k
+    # and basis index b, read from the dual table
+    table = _dual_table(structure)
+    carrier_rows = [{i: c for i, c in enumerate(row) if c != 0} for row in carrier.basis]
+    brackets = []
+    for k in kernel:
+        coeffs = {a: c for (a,), c in k.terms.items()}
+        images: list[dict[int, Fraction]] = [{} for _ in range(g.dim)]
+        for (a, b), entry in table.items():
+            if a in coeffs:
+                _add_scaled(images[b], coeffs[a], entry)
+            if b in coeffs:
+                _add_scaled(images[a], -coeffs[b], entry)
+        if any(_pair(row, image) != 0 for image in images for row in carrier_rows):
+            raise StructureInvariantError("kernel of r# is not an ideal of the dual algebra")
+        brackets.append(images)
+    # [k_u, k_v] = sum over b of (k_v)_b [k_u, e_b*]
+    for u, v in itertools.combinations_with_replacement(range(len(kernel)), 2):
+        total: dict[int, Fraction] = {}
+        for (b,), kb in kernel[v].terms.items():
+            _add_scaled(total, kb, brackets[u][b])
+        if any(c != 0 for c in total.values()):
             raise StructureInvariantError("kernel of r# is not abelian in the dual algebra")
     object.__setattr__(structure, "_carrier", carrier)
     object.__setattr__(structure, "_kernel", kernel)

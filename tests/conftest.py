@@ -15,12 +15,12 @@ def affine_entry():
 
 @pytest.fixture(scope="session")
 def q_entries():
-    return {n: q_example(n) for n in (2, 3, 4, 5)}
+    return {n: q_example(n) for n in (2, 3, 4, 5, 6)}
 
 
 @pytest.fixture(scope="session")
 def gg_entries():
-    return {n: gg_example(n) for n in (2, 3, 4, 5)}
+    return {n: gg_example(n) for n in (2, 3, 4, 5, 6)}
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,83 @@ from modclass.catalog import (
     q_psi_discrepancy,
     sl,
 )
-from modclass.liealg import Multivector, ce_differential, check_jacobi
+from modclass.liealg import LieAlgebra, Multivector, ce_differential, check_jacobi
+from modclass.linalg import LinearSolver, Matrix
 
 def F(x):
     return Fraction(x)
+
+
+# Test oracle for the catalog's closed-form structure constants: form the
+# matrix commutators explicitly and solve for their basis coordinates.
+
+
+def matrix_basis_algebra(labels, matrices):
+    """Structure constants from a basis of square matrices (exact arithmetic)."""
+    mats = [Matrix(m) for m in matrices]
+    size = mats[0].rows
+    flats = [[m[i, j] for i in range(size) for j in range(size)] for m in mats]
+    solver = LinearSolver(Matrix.from_columns(flats))
+    table = {}
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        comm = mats[a] @ mats[b] - mats[b] @ mats[a]
+        flat = [comm[i, j] for i in range(size) for j in range(size)]
+        coords = solver.solve(flat).vector
+        entry = {k: c for k, c in enumerate(coords) if c != 0}
+        if entry:
+            table[(a, b)] = entry
+    return LieAlgebra(labels, table)
+
+
+def elementary(n, i, j):
+    return [[1 if (r, c) == (i - 1, j - 1) else 0 for c in range(n)] for r in range(n)]
+
+
+def matrix_gl(n):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return matrix_basis_algebra(
+        [f"e{i}{j}" for i, j in pairs], [elementary(n, i, j) for i, j in pairs]
+    )
+
+
+def matrix_sl(n):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    labels = [f"e{i}{j}" for i, j in pairs] + [f"h{k}" for k in range(1, n)]
+    mats = [elementary(n, i, j) for i, j in pairs]
+    for k in range(1, n):
+        h = [[0] * n for _ in range(n)]
+        h[k - 1][k - 1] = 1
+        h[k][k] = -1
+        mats.append(h)
+    return matrix_basis_algebra(labels, mats)
+
+
+def matrix_affine():
+    pairs = [(i, j) for i in range(1, 3) for j in range(1, 4)]
+    return matrix_basis_algebra(
+        [f"e{i}{j}" for i, j in pairs], [elementary(3, i, j) for i, j in pairs]
+    )
+
+
+class TestMatrixBasisOracle:
+    @staticmethod
+    def assert_same(closed, oracle):
+        assert closed.labels == oracle.labels
+        assert closed.table == oracle.table
+        # insertion order too, so iteration over the tables agrees
+        assert list(closed.table) == list(oracle.table)
+        assert all(list(closed.table[k]) == list(oracle.table[k]) for k in closed.table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gl(self, n):
+        self.assert_same(gl(n), matrix_gl(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sl(self, n):
+        self.assert_same(sl(n), matrix_sl(n))
+
+    def test_affine(self):
+        self.assert_same(affine_algebra(), matrix_affine())
 
 
 class TestConstructors:
@@ -82,7 +156,7 @@ class TestAffineEntry:
 
 
 class TestQEntries:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_expected_values_recompute(self, n, q_entries):
         assert q_entries[n].check_expected() == []
 
@@ -113,7 +187,7 @@ class TestQEntries:
 
 
 class TestGGEntries:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_expected_values_recompute(self, n, gg_entries):
         assert gg_entries[n].check_expected() == []
 

@@ -58,6 +58,23 @@ class TestVerify:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.lie")]) == 2
 
+    def test_overlong_literal_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.lie"
+        path.write_text(
+            "[algebra]\nlabels = x y\nbracket x y = y\n[r]\nterm x y = " + "7" * 5000 + "\n",
+            encoding="utf-8",
+        )
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "line 5: rational literal too long" in out
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.lie"
+        path.write_bytes(b"[algebra]\nlabels = x \xff y\n")
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "not UTF-8" in out
+
     def test_all_flag_over_directory(self, tmp_path, affine_file, capsys):
         assert main(["verify", "--all", str(tmp_path)]) == 0
         assert "VERIFIED" in capsys.readouterr().out
@@ -173,6 +190,13 @@ class TestLinearize:
         path.write_text(text, encoding="utf-8")
         assert main(["linearize", str(path)]) == 1
 
+    def test_unwritable_output_exits_2(self, tmp_path, affine_file, capsys):
+        target = tmp_path / "no_such_dir" / "out.lie"
+        assert main(["linearize", str(affine_file), "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err
+        assert not target.exists()
+
     def test_missing_mu_is_bad_input(self, affine_file, tmp_path):
         data = parse(affine_file.read_text(encoding="utf-8"))
         stripped = type(data)(
@@ -205,6 +229,13 @@ class TestCatalog:
         payload = json.loads(capsys.readouterr().out)
         assert payload["representative"] == {"e12": "-2", "e23": "-1"}
         assert payload["mismatches"] == []
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "affine.lie"
+        assert main(["catalog", "affine", "-o", str(target), "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "malformed"
+        assert payload["error"].startswith(f"cannot write {target}")
 
     def test_affine_rejects_n(self):
         assert main(["catalog", "affine", "--n", "3"]) == 2

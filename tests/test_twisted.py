@@ -4,14 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_cochain, random_multivector
+from conftest import make_random_linearize_input, random_cochain, random_multivector
 from modclass.catalog import affine_algebra, gl
-from modclass.liealg import Cochain, Multivector, annihilator, ce_differential
+from modclass.frobenius import linearize
+from modclass.liealg import (
+    Cochain,
+    Multivector,
+    NotClosedError,
+    annihilator,
+    ce_differential,
+    span_subalgebra,
+)
 from modclass.linalg import dot
 from modclass.twisted import (
     CYBE_SIGN,
     PsiNotClosedError,
+    StructureInvariantError,
     TwistedTriangularStructure,
+    _dual_table,
     carrier_and_kernel,
     cybe_lhs_trivector,
     dual_bracket,
@@ -204,6 +214,127 @@ class TestDualBracket:
                 assert dual_bracket(st, alpha, beta) == dual_bracket_oracle(
                     st, alpha, beta
                 )
+
+
+def perturbed_structures(bases, seed, count):
+    """Unchecked structures with a nonzero Yang-Baxter residual.
+
+    Criterion 7's perturbations: add a basis wedge to r, add a coboundary
+    to psi, or rescale psi.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        st = rng.choice(bases)
+        g = st.g
+        kind = rng.randrange(3)
+        r, psi = st.r, st.psi
+        if kind == 0:
+            a, b = sorted(rng.sample(range(g.dim), 2))
+            r = r + Multivector(g.dim, 2, {(a, b): F(rng.choice([-2, -1, 1, 2]))})
+        elif kind == 1:
+            psi = psi + ce_differential(g, random_cochain(rng, g.dim, 2, density=0.3, bound=2))
+        else:
+            psi = F(rng.choice([2, 3, -1])) * psi
+        if not verify_twisted_cybe(g, r, psi).passed:
+            out.append(TwistedTriangularStructure.unchecked(g, r, psi))
+    return out
+
+
+def kernel_check_oracle(st):
+    """carrier_and_kernel's ideal and abelian checks, one dual_bracket call
+    per pair; returns the failing check's name or None."""
+    g = st.g
+    carrier = span_subalgebra(g, [st.sharp.column(a) for a in range(g.dim)])
+    kernel = annihilator(g, carrier)
+    for k in kernel:
+        for b in range(g.dim):
+            w = dual_bracket(st, k, Cochain.basis(g.dim, b)).to_vector()
+            if any(dot(row, w) != 0 for row in carrier.basis):
+                return "ideal"
+    for u, v in itertools.combinations_with_replacement(range(len(kernel)), 2):
+        if not dual_bracket(st, kernel[u], kernel[v]).is_zero():
+            return "abelian"
+    return None
+
+
+class TestSparseDualTable:
+    """The sparse dual table against dual_bracket on every basis pair."""
+
+    @staticmethod
+    def assert_table_matches(st):
+        g = st.g
+        table = _dual_table(st)
+        for a, b in itertools.combinations_with_replacement(range(g.dim), 2):
+            expected = dual_bracket(st, Cochain.basis(g.dim, a), Cochain.basis(g.dim, b))
+            entry = table.get((a, b), {}) if a < b else {}
+            assert Cochain(g.dim, 1, {(j,): c for j, c in entry.items()}) == expected
+        assert all(entry for entry in table.values())
+
+    def test_affine(self, affine_entry):
+        self.assert_table_matches(affine_entry.structure)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_q_family(self, n, q_entries):
+        self.assert_table_matches(q_entries[n].structure)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gg_family(self, n, gg_entries):
+        self.assert_table_matches(gg_entries[n].structure)
+
+    def test_seeded_linearizations(self):
+        rng = random.Random(606)
+        for _ in range(4):
+            self.assert_table_matches(linearize(*make_random_linearize_input(rng)))
+
+    def test_nonzero_residual(self, affine_entry, q_entries, gg_entries):
+        bases = [
+            affine_entry.structure,
+            q_entries[2].structure,
+            q_entries[3].structure,
+            gg_entries[3].structure,
+        ]
+        for st in perturbed_structures(bases, seed=78, count=12):
+            self.assert_table_matches(st)
+
+    def test_kernel_checks_match_pairwise_route(self, affine_entry, q_entries, gg_entries):
+        # with r#k = 0 the bracket [k, b] is -ad*_(r#b) k, so a closed
+        # carrier makes the kernel an abelian ideal whatever the residual;
+        # the two routes must agree on which inputs pass
+        bases = [affine_entry.structure, q_entries[3].structure, gg_entries[3].structure]
+        verdicts = set()
+        for st in perturbed_structures(bases, seed=79, count=40):
+            try:
+                verdict = kernel_check_oracle(st)
+            except NotClosedError:
+                with pytest.raises(NotClosedError):
+                    carrier_and_kernel(st)
+                verdicts.add("not closed")
+                continue
+            assert verdict is None
+            carrier_and_kernel(st)
+            verdicts.add(verdict)
+        assert verdicts == {"not closed", None}
+
+    @pytest.mark.parametrize(
+        "pair, entry, failure",
+        [
+            # [e12*, e11*] gains an e11 component, which pairs with the carrier
+            (("e11", "e12"), {"e11": 1}, "ideal"),
+            # [e12*, e21*] = e12* stays in the kernel but is not zero
+            (("e12", "e21"), {"e12": 1}, "abelian"),
+        ],
+    )
+    def test_kernel_checks_read_the_table(self, affine_entry, pair, entry, failure):
+        base = affine_entry.structure
+        g = base.g
+        st = TwistedTriangularStructure(g, base.r, base.psi)
+        table = dict(_dual_table(st))
+        key = tuple(g.index(lab) for lab in pair)
+        table[key] = {g.index(lab): F(c) for lab, c in entry.items()}
+        object.__setattr__(st, "_dual_table", table)
+        with pytest.raises(StructureInvariantError, match=failure):
+            carrier_and_kernel(st)
 
 
 class TestDualLieAlgebra:
