@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .catalog import entry_names, get_entry
@@ -29,12 +30,13 @@ from .structfile import (
     combination_str,
     from_catalog_entry,
     parse_path,
+    rational_str,
     serialize,
 )
 from .twisted import (
+    PsiNotClosedError,
     TwistedTriangularStructure,
     carrier_and_kernel,
-    ce_differential,
     dual_lie_algebra,
     modular_class,
     relation_check,
@@ -56,7 +58,7 @@ class _Failure(Exception):
 
 def _alt_json(labels, alt) -> list[dict]:
     return [
-        {"indices": [labels[a] for a in idx], "coefficient": str(c)}
+        {"indices": [labels[a] for a in idx], "coefficient": rational_str(c)}
         for idx, c in alt.sorted_terms()
     ]
 
@@ -66,12 +68,12 @@ def _alt_text(labels, alt, star: bool) -> list[str]:
     out = []
     for idx, c in alt.sorted_terms():
         mono = "^".join(f"{labels[a]}{mark}" for a in idx)
-        out.append(f"{mono} = {c}")
+        out.append(f"{mono} = {rational_str(c)}")
     return out or ["0"]
 
 
 def _vector_json(labels, vec) -> dict[str, str]:
-    return {labels[i]: str(c) for i, c in enumerate(vec) if c != 0}
+    return {labels[i]: rational_str(c) for i, c in enumerate(vec) if c != 0}
 
 
 def _covector_str(labels, vec) -> str:
@@ -85,6 +87,8 @@ class _Report:
     def __init__(self, command: str):
         self.lines: list[str] = []
         self.payload: dict = {"command": command}
+        # a structure file written to stdout replaces the text report
+        self.raw: str | None = None
 
     def add(self, text_line: str, key: str | None = None, value=None):
         self.lines.append(text_line)
@@ -95,6 +99,8 @@ class _Report:
         stream = stream or sys.stdout
         if fmt == "json":
             print(json.dumps(self.payload, indent=2), file=stream)
+        elif self.raw is not None:
+            stream.write(self.raw)
         else:
             print("\n".join(self.lines), file=stream)
 
@@ -106,12 +112,22 @@ def _require(data: StructureData, field: str, command: str):
     return value
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write a structure file; an unwritable path is bad input, like an unreadable one."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise StructureFileError(f"cannot write {path}: {exc.strerror or exc}")
+def _emit_structure(args, report: _Report, text: str) -> None:
+    """Send a structure file to ``-o``, into the JSON payload, or to stdout.
+
+    An unwritable path is bad input, like an unreadable one.
+    """
+    if args.output:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise StructureFileError(f"cannot write {args.output}: {exc.strerror or exc}")
+        report.add(f"wrote {args.output}", "output", args.output)
+    elif args.format == "json":
+        report.payload["structure_file"] = text
+    else:
+        report.raw = text
+    report.add("status: OK", "status", "ok")
 
 
 def _span_or_fail(g, vectors):
@@ -137,15 +153,15 @@ def _verified_structure(data: StructureData, report: _Report) -> TwistedTriangul
     """Run closedness and Yang-Baxter checks, raising _Failure with residuals."""
     st = _structure_from_data(data)
     g = st.g
-    dpsi = ce_differential(g, st.psi)
-    if not dpsi.is_zero():
+    try:
+        result = st.verify()
+    except PsiNotClosedError as exc:
         report.add("psi closed: no", "psi_closed", False)
         raise _Failure(
             "psi is not closed",
-            {"closedness_residual": _alt_json(g.labels, dpsi)},
+            {"closedness_residual": _alt_json(g.labels, exc.residual)},
         )
     report.add("psi closed: yes", "psi_closed", True)
-    result = st.verify()
     if not result.passed:
         report.add("yang-baxter: FAIL", "yang_baxter", False)
         for line in _alt_text(g.labels, result.residual, star=False):
@@ -217,221 +233,166 @@ def cmd_verify(args) -> int:
     return worst
 
 
-def cmd_modular(args) -> int:
-    report = _Report("modular")
+def cmd_modular(args, report: _Report) -> None:
+    st = _verified_structure(parse_path(args.path), report)
+    g = st.g
+    mc = modular_class(st)
+    carrier_labels = mc.carrier.labels()
+    report.add(f"carrier dim: {mc.carrier.dim}", "carrier_dim", mc.carrier.dim)
+    report.add(
+        "carrier basis: "
+        + (", ".join(combination_str(b, g.labels) for b in mc.carrier.basis) or "(none)"),
+        "carrier_basis",
+        [_vector_json(g.labels, b) for b in mc.carrier.basis],
+    )
+    report.add(
+        "kernel basis: "
+        + (", ".join(_covector_str(g.labels, k.to_vector()) for k in mc.kernel) or "(none)"),
+        "kernel_basis",
+        [_alt_json(g.labels, k) for k in mc.kernel],
+    )
+    report.add(
+        "character on kernel: " + _covector_str(carrier_labels, mc.chi_kernel.to_vector()),
+        "chi_kernel",
+        _vector_json(carrier_labels, mc.chi_kernel.to_vector()),
+    )
+    report.add(
+        "character on quotient: " + _covector_str(carrier_labels, mc.chi_quotient.to_vector()),
+        "chi_quotient",
+        _vector_json(carrier_labels, mc.chi_quotient.to_vector()),
+    )
+    report.add(
+        "representative: " + combination_str(mc.representative, g.labels),
+        "representative",
+        _vector_json(g.labels, mc.representative),
+    )
+    for name, check in sorted(mc.crosschecks.items()):
+        report.add(f"crosscheck {name}: {'pass' if check.passed else 'FAIL'}")
+    report.payload["crosschecks"] = {
+        name: check.passed for name, check in sorted(mc.crosschecks.items())
+    }
+    report.add("status: OK", "status", "ok")
+
+
+def cmd_relations(args, report: _Report) -> None:
+    st = _verified_structure(parse_path(args.path), report)
+    g = st.g
+    rel = relation_check(st)
+    carrier, _ = carrier_and_kernel(st)
+    named = (
+        ("modular_vs_relative", rel.modular_vs_relative, g.labels),
+        ("dual_vs_carrier", rel.dual_vs_carrier, g.labels),
+        ("restriction_vs_carrier", rel.restriction_vs_carrier, carrier.labels()),
+    )
+    for name, residual, labels in named:
+        zero = all(x == 0 for x in residual)
+        report.add(
+            f"{name}: {'0' if zero else _covector_str(labels, residual)}",
+            name,
+            _vector_json(labels, residual),
+        )
+    if not rel.passed:
+        raise _Failure("a trace identity has a nonzero residual")
+    report.add("status: OK", "status", "ok")
+
+
+def cmd_frobenius(args, report: _Report) -> None:
+    data = parse_path(args.path)
+    g = data.algebra
+    vectors = _require(data, "subalgebra_vectors", "frobenius")
+    xi_g = _require(data, "xi", "frobenius")
+    p = _span_or_fail(g, vectors)
+    xi = p.restrict_cochain(xi_g)
+    check = is_frobenius(p, xi)
+    if not check.ok:
+        report.add("frobenius: no", "frobenius", False)
+        raise _Failure(
+            "the pairing xi([.,.]) is degenerate",
+            {"kernel_witness": _vector_json(g.labels, check.kernel_witness)},
+        )
+    report.add("frobenius: yes", "frobenius", True)
     try:
-        data = parse_path(args.path)
-        st = _verified_structure(data, report)
-        g = st.g
-        mc = modular_class(st)
-        carrier_labels = mc.carrier.labels()
-        report.add(f"carrier dim: {mc.carrier.dim}", "carrier_dim", mc.carrier.dim)
-        report.add(
-            "carrier basis: "
-            + (", ".join(combination_str(b, g.labels) for b in mc.carrier.basis) or "(none)"),
-            "carrier_basis",
-            [_vector_json(g.labels, b) for b in mc.carrier.basis],
-        )
-        report.add(
-            "kernel basis: "
-            + (", ".join(_covector_str(g.labels, k.to_vector()) for k in mc.kernel) or "(none)"),
-            "kernel_basis",
-            [_alt_json(g.labels, k) for k in mc.kernel],
-        )
-        report.add(
-            "character on kernel: " + _covector_str(carrier_labels, mc.chi_kernel.to_vector()),
-            "chi_kernel",
-            _vector_json(carrier_labels, mc.chi_kernel.to_vector()),
-        )
-        report.add(
-            "character on quotient: " + _covector_str(carrier_labels, mc.chi_quotient.to_vector()),
-            "chi_quotient",
-            _vector_json(carrier_labels, mc.chi_quotient.to_vector()),
-        )
-        report.add(
-            "representative: " + combination_str(mc.representative, g.labels),
-            "representative",
-            _vector_json(g.labels, mc.representative),
-        )
-        for name, check in sorted(mc.crosschecks.items()):
-            report.add(
-                f"crosscheck {name}: {'pass' if check.passed else 'FAIL'}",
-            )
-        report.payload["crosschecks"] = {
-            name: check.passed for name, check in sorted(mc.crosschecks.items())
-        }
-        report.add("status: OK", "status", "ok")
-        report.emit(args.format)
-        return EXIT_OK
-    except StructureFileError as exc:
-        return _bad_input(report, exc, args.format)
-    except _Failure as exc:
-        return _failed(report, exc, args.format)
-
-
-def cmd_relations(args) -> int:
-    report = _Report("relations")
-    try:
-        data = parse_path(args.path)
-        st = _verified_structure(data, report)
-        g = st.g
-        rel = relation_check(st)
-        carrier, _ = carrier_and_kernel(st)
-        named = (
-            ("modular_vs_relative", rel.modular_vs_relative, g.labels),
-            ("dual_vs_carrier", rel.dual_vs_carrier, g.labels),
-            ("restriction_vs_carrier", rel.restriction_vs_carrier, carrier.labels()),
-        )
-        for name, residual, labels in named:
-            zero = all(x == 0 for x in residual)
-            report.add(
-                f"{name}: {'0' if zero else _covector_str(labels, residual)}",
-                name,
-                _vector_json(labels, residual),
-            )
-        if not rel.passed:
-            raise _Failure("a trace identity has a nonzero residual")
-        report.add("status: OK", "status", "ok")
-        report.emit(args.format)
-        return EXIT_OK
-    except StructureFileError as exc:
-        return _bad_input(report, exc, args.format)
-    except _Failure as exc:
-        return _failed(report, exc, args.format)
-
-
-def cmd_frobenius(args) -> int:
-    report = _Report("frobenius")
-    try:
-        data = parse_path(args.path)
-        g = data.algebra
-        vectors = _require(data, "subalgebra_vectors", "frobenius")
-        xi_g = _require(data, "xi", "frobenius")
-        p = _span_or_fail(g, vectors)
-        xi = p.restrict_cochain(xi_g)
-        check = is_frobenius(p, xi)
-        if not check.ok:
-            report.add("frobenius: no", "frobenius", False)
-            raise _Failure(
-                "the pairing xi([.,.]) is degenerate",
-                {"kernel_witness": _vector_json(g.labels, check.kernel_witness)},
-            )
-        report.add("frobenius: yes", "frobenius", True)
         x = frobenius_modular(g, p, xi)
-        report.add(
-            "modular representative: " + combination_str(x, g.labels),
-            "representative",
-            _vector_json(g.labels, x),
-        )
-        report.add("status: OK", "status", "ok")
-        report.emit(args.format)
-        return EXIT_OK
-    except StructureFileError as exc:
-        return _bad_input(report, exc, args.format)
     except NotFrobeniusError as exc:
-        return _failed(report, _Failure(str(exc)), args.format)
-    except _Failure as exc:
-        return _failed(report, exc, args.format)
+        raise _Failure(str(exc))
+    report.add(
+        "modular representative: " + combination_str(x, g.labels),
+        "representative",
+        _vector_json(g.labels, x),
+    )
+    report.add("status: OK", "status", "ok")
 
 
-def cmd_linearize(args) -> int:
-    report = _Report("linearize")
+def cmd_linearize(args, report: _Report) -> None:
+    data = parse_path(args.path)
+    g = data.algebra
+    vectors = _require(data, "subalgebra_vectors", "linearize")
+    mu = _require(data, "mu", "linearize")
+    p = _span_or_fail(g, vectors)
     try:
-        data = parse_path(args.path)
-        g = data.algebra
-        vectors = _require(data, "subalgebra_vectors", "linearize")
-        mu = _require(data, "mu", "linearize")
-        p = _span_or_fail(g, vectors)
-        try:
-            st = linearize(g, p, mu)
-        except DegenerateFormError as exc:
-            raise _Failure(str(exc))
-        out = StructureData(
-            algebra=g,
-            name=data.name,
-            r=st.r,
-            psi=st.psi,
-            subalgebra_vectors=p.basis,
-            mu=mu,
-        )
-        text = serialize(out)
-        if args.output:
-            _write_output(args.output, text)
-            report.add(f"wrote {args.output}", "output", args.output)
-            report.add("status: OK", "status", "ok")
-            report.emit(args.format)
-        elif args.format == "json":
-            report.payload["structure_file"] = text
-            report.add("status: OK", "status", "ok")
-            report.emit("json")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
+        st = linearize(g, p, mu)
+    except DegenerateFormError as exc:
+        raise _Failure(str(exc))
+    out = StructureData(
+        algebra=g,
+        name=data.name,
+        r=st.r,
+        psi=st.psi,
+        subalgebra_vectors=p.basis,
+        mu=mu,
+    )
+    _emit_structure(args, report, serialize(out))
+
+
+def cmd_catalog(args, report: _Report) -> None:
+    try:
+        entry = get_entry(args.name, args.n)
+    except (KeyError, ValueError) as exc:
+        raise StructureFileError(str(exc))
+    if not args.check:
+        _emit_structure(args, report, serialize(from_catalog_entry(entry)))
+        return
+    g = entry.g
+    mc = entry.compute_report()
+    failures = entry.check_expected()
+    report.add(f"entry: {entry.name}" + (f" (n={entry.n})" if entry.n else ""), "entry", entry.name)
+    if entry.n is not None:
+        report.payload["n"] = entry.n
+    report.add(f"carrier dim: {mc.carrier.dim}", "carrier_dim", mc.carrier.dim)
+    report.add(
+        "representative: " + combination_str(mc.representative, g.labels),
+        "representative",
+        _vector_json(g.labels, mc.representative),
+    )
+    if failures:
+        report.add("expected values: MISMATCH " + ", ".join(failures), "mismatches", failures)
+        raise _Failure("catalog entry failed its expected values")
+    report.add("expected values: match", "mismatches", [])
+    report.add("status: OK", "status", "ok")
+
+
+def _dispatch(command, args) -> int:
+    """Run one single-input command and emit its report.
+
+    Malformed input exits 2, with the text report on stderr; a failed
+    mathematical check exits 1.
+    """
+    report = _Report(args.command)
+    try:
+        command(args, report)
     except StructureFileError as exc:
-        return _bad_input(report, exc, args.format)
+        report.add(f"malformed input: {exc}", "status", "malformed")
+        report.payload["error"] = str(exc)
+        report.emit(args.format, stream=sys.stderr if args.format != "json" else sys.stdout)
+        return EXIT_BAD_INPUT
     except _Failure as exc:
-        return _failed(report, exc, args.format)
-
-
-def cmd_catalog(args) -> int:
-    report = _Report("catalog")
-    try:
-        try:
-            entry = get_entry(args.name, args.n)
-        except (KeyError, ValueError) as exc:
-            raise StructureFileError(str(exc))
-        if not args.check:
-            text = serialize(from_catalog_entry(entry))
-            if args.output:
-                _write_output(args.output, text)
-                report.add(f"wrote {args.output}", "output", args.output)
-                report.add("status: OK", "status", "ok")
-                report.emit(args.format)
-            elif args.format == "json":
-                report.payload["structure_file"] = text
-                report.add("status: OK", "status", "ok")
-                report.emit("json")
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
-        g = entry.g
-        mc = entry.compute_report()
-        failures = entry.check_expected()
-        report.add(f"entry: {entry.name}" + (f" (n={entry.n})" if entry.n else ""), "entry", entry.name)
-        if entry.n is not None:
-            report.payload["n"] = entry.n
-        report.add(f"carrier dim: {mc.carrier.dim}", "carrier_dim", mc.carrier.dim)
-        report.add(
-            "representative: " + combination_str(mc.representative, g.labels),
-            "representative",
-            _vector_json(g.labels, mc.representative),
-        )
-        if failures:
-            report.add("expected values: MISMATCH " + ", ".join(failures), "mismatches", failures)
-            raise _Failure("catalog entry failed its expected values")
-        report.add("expected values: match", "mismatches", [])
-        report.add("status: OK", "status", "ok")
+        report.add(f"status: FAILED ({exc})", "status", "failed")
+        report.payload["error"] = str(exc)
+        report.payload.update(exc.detail)
         report.emit(args.format)
-        return EXIT_OK
-    except StructureFileError as exc:
-        return _bad_input(report, exc, args.format)
-    except _Failure as exc:
-        return _failed(report, exc, args.format)
-
-
-def _bad_input(report: _Report, exc: Exception, fmt: str) -> int:
-    report.add(f"malformed input: {exc}", "status", "malformed")
-    report.payload["error"] = str(exc)
-    report.emit(fmt, stream=sys.stderr if fmt != "json" else sys.stdout)
-    return EXIT_BAD_INPUT
-
-
-def _failed(report: _Report, exc: _Failure, fmt: str) -> int:
-    report.add(f"status: FAILED ({exc})", "status", "failed")
-    report.payload["error"] = str(exc)
-    report.payload.update(exc.detail)
-    report.emit(fmt)
-    return EXIT_FAIL
+        return EXIT_FAIL
+    report.emit(args.format)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,18 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modular", help="full modular-class report")
     p.add_argument("path", metavar="PATH")
     add_format(p)
-    p.set_defaults(func=cmd_modular)
+    p.set_defaults(func=partial(_dispatch, cmd_modular))
 
     p = sub.add_parser("frobenius", help="solve for the modular representative of a Frobenius pair")
     p.add_argument("path", metavar="PATH")
     add_format(p)
-    p.set_defaults(func=cmd_frobenius)
+    p.set_defaults(func=partial(_dispatch, cmd_frobenius))
 
     p = sub.add_parser("linearize", help="build (r, psi) from a subalgebra and a 2-cochain")
     p.add_argument("path", metavar="PATH")
     p.add_argument("--output", "-o", metavar="FILE", help="write the structure file here")
     add_format(p)
-    p.set_defaults(func=cmd_linearize)
+    p.set_defaults(func=partial(_dispatch, cmd_linearize))
 
     p = sub.add_parser("catalog", help="emit or check a built-in example")
     p.add_argument("name", choices=entry_names(), metavar="NAME")
@@ -477,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="recompute and compare expected values")
     p.add_argument("--output", "-o", metavar="FILE", help="write the structure file here")
     add_format(p)
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=partial(_dispatch, cmd_catalog))
 
     p = sub.add_parser("relations", help="check the trace identities relating the modular classes")
     p.add_argument("path", metavar="PATH")
     add_format(p)
-    p.set_defaults(func=cmd_relations)
+    p.set_defaults(func=partial(_dispatch, cmd_relations))
 
     return parser
 

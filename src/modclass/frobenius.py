@@ -18,8 +18,7 @@ from .liealg import (
     Multivector,
     Subalgebra,
     ce_differential,
-    infinitesimal_character,
-    quotient_rep,
+    quotient_character,
 )
 from .linalg import (
     Matrix,
@@ -203,7 +202,7 @@ def frobenius_modular(g: LieAlgebra, p: Subalgebra, xi: Cochain) -> Vector:
     # (ad*_{b_s} xi)(b_t) = -xi([b_s, b_t]) = -mu(b_s, b_t), so the matrix
     # is -G with rows indexed by t.
     system = Matrix([[-gram[s, t] for s in range(p.dim)] for t in range(p.dim)])
-    chi = infinitesimal_character(quotient_rep(g, p))
+    chi = quotient_character(g, p)
     chi_vec = list(chi.to_vector())
     try:
         inv = invert(system)

@@ -17,6 +17,13 @@ Orientation conventions used consistently in this package:
   the bilinear form xi([.,.]) directly, which keeps the bivector/cochain
   inversion and the Yang-Baxter verification in this package mutually
   consistent.
+
+A subalgebra p acts on g/p and, by the coadjoint action, on the
+annihilator ann(p).  Only the characters (traces) of these two actions
+enter the modular class, so they are computed as traces straight from the
+bracket table (``quotient_character``, ``coadjoint_character``) and no
+action matrix is formed.  The two are dual, so the characters are
+opposite; the computation of the modular class uses that as a cross-check.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
-    LinearSolver,
     Matrix,
     Vector,
+    dot,
     kernel_basis,
     rat,
     rref,
@@ -54,18 +61,6 @@ class NotClosedError(ValueError):
     def __init__(self, witness: tuple[Vector, Vector, Vector]):
         self.witness = witness
         super().__init__("span is not closed under the bracket")
-
-
-class NotInvariantError(ValueError):
-    """A subspace of the dual that is not stable under the coadjoint action."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__("subspace is not invariant under the coadjoint action")
-
-
-class RepresentationError(ValueError):
-    """Matrices that do not define a Lie algebra homomorphism."""
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -507,13 +502,18 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# Subalgebras, quotients, representations
+# Subalgebras and the characters of their actions
 
 
 class Subalgebra:
-    """A bracket-closed subspace with a canonical (rref) basis."""
+    """A bracket-closed subspace with a canonical (rref) basis.
 
-    __slots__ = ("parent", "basis", "pivots", "complement", "_algebra", "_ext_solvers")
+    ``basis[s]`` is 1 at its pivot coordinate ``pivots[s]`` and 0 at the
+    other pivots; the remaining coordinates, ``complement``, index the
+    canonical complement, spanned by their unit vectors.
+    """
+
+    __slots__ = ("parent", "basis", "pivots", "complement", "_algebra")
 
     def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], pivots: Sequence[int]):
         object.__setattr__(self, "parent", parent)
@@ -525,7 +525,6 @@ class Subalgebra:
             tuple(i for i in range(parent.dim) if i not in set(pivots)),
         )
         object.__setattr__(self, "_algebra", None)
-        object.__setattr__(self, "_ext_solvers", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subalgebra is immutable")
@@ -589,56 +588,18 @@ class Subalgebra:
                 terms[idx] = value
         return Cochain(self.dim, c.degree, terms)
 
-    def quotient_coords(self, v: Sequence[Fraction]) -> Vector:
-        """Coordinates of the class of v in the canonical complement basis."""
-        residual = list(v)
-        for p, b in zip(self.pivots, self.basis):
-            c = residual[p]
-            if c != 0:
-                residual = [r - c * x for r, x in zip(residual, b)]
-        return tuple(residual[q] for q in self.complement)
-
-    def _extension_solver(self, complement: tuple[int, ...]) -> LinearSolver:
-        solvers = self._ext_solvers
-        if complement not in solvers:
-            columns = [list(b) for b in self.basis] + [
-                list(unit_vector(self.parent.dim, q)) for q in complement
-            ]
-            solvers[complement] = LinearSolver(Matrix.from_columns(columns).transpose())
-        return solvers[complement]
-
-    def alternative_complement(self) -> tuple[int, ...]:
-        """A complement chosen greedily from the highest coordinates down."""
-        rows = [list(b) for b in self.basis]
-        chosen: list[int] = []
-        for q in range(self.parent.dim - 1, -1, -1):
-            candidate = rows + [list(unit_vector(self.parent.dim, q))] + [
-                list(unit_vector(self.parent.dim, c)) for c in chosen
-            ]
-            if rref(Matrix(candidate)).rank == len(candidate):
-                chosen.append(q)
-            if len(chosen) == self.parent.dim - self.dim:
-                break
-        return tuple(sorted(chosen))
-
-    def extend_cochain_by_zero(
-        self, c: Cochain, complement: tuple[int, ...] | None = None
-    ) -> Cochain:
+    def extend_cochain_by_zero(self, c: Cochain) -> Cochain:
         """Extend a 1-cochain on the subalgebra to the parent.
 
-        The extension vanishes on the span of the chosen complement
-        coordinates (canonical complement by default).
+        The extension vanishes on the canonical complement coordinates.
+        Since b_s is 1 at its pivot p_s and 0 at the other pivots, it puts
+        c(b_s) at p_s and 0 everywhere else.
         """
         if c.degree != 1 or c.dim != self.dim:
             raise ValueError("expected a 1-cochain on the subalgebra")
-        comp = self.complement if complement is None else complement
-        solver = self._extension_solver(comp)
-        values = [c.terms.get((s,), Fraction(0)) for s in range(self.dim)]
-        values += [Fraction(0)] * len(comp)
-        # rows are basis vectors then complement unit vectors; solve for the
-        # covector w with <w, b_s> = values_s and <w, e_q> = 0
-        w = solver.solve(values).vector
-        return Cochain.from_covector(w)
+        return Cochain(
+            self.parent.dim, 1, {(self.pivots[s],): v for (s,), v in c.terms.items()}
+        )
 
 
 def span_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence[Fraction]]) -> Subalgebra:
@@ -668,120 +629,42 @@ def annihilator(g: LieAlgebra, p: Subalgebra) -> list[Cochain]:
     return [Cochain.from_covector(w) for w in kernel_basis(pairing)]
 
 
-class Representation:
-    """A Lie algebra homomorphism into matrices, one per basis element."""
-
-    __slots__ = ("acting", "space_dim", "matrices", "space_labels")
-
-    def __init__(
-        self,
-        acting: Subalgebra,
-        matrices: Sequence[Matrix],
-        space_labels: Sequence[str] | None = None,
-        *,
-        check: bool = True,
-    ):
-        if len(matrices) != acting.dim:
-            raise RepresentationError("need one matrix per basis element")
-        space_dim = matrices[0].rows if matrices else 0
-        for m in matrices:
-            if m.rows != space_dim or m.cols != space_dim:
-                raise RepresentationError("matrices must be square of equal size")
-        object.__setattr__(self, "acting", acting)
-        object.__setattr__(self, "space_dim", space_dim)
-        object.__setattr__(self, "matrices", tuple(matrices))
-        object.__setattr__(
-            self,
-            "space_labels",
-            tuple(space_labels) if space_labels is not None else None,
-        )
-        if check:
-            self._check_homomorphism()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
-
-    def _check_homomorphism(self):
-        algebra = self.acting.as_lie_algebra()
-        for s, t in itertools.combinations(range(self.acting.dim), 2):
-            expected = Matrix.zeros(self.space_dim, self.space_dim)
-            for k, c in algebra.bracket_basis(s, t).items():
-                expected = expected + Matrix(
-                    [[c * x for x in row] for row in self.matrices[k].entries]
-                )
-            commutator = self.matrices[s] @ self.matrices[t] - self.matrices[t] @ self.matrices[s]
-            if commutator != expected:
-                raise RepresentationError(
-                    f"matrices fail the homomorphism identity at basis pair ({s}, {t})"
-                )
-
-    def matrix_of(self, coords: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zeros(self.space_dim, self.space_dim)
-        for c, m in zip(coords, self.matrices, strict=True):
-            if c != 0:
-                out = out + Matrix([[c * x for x in row] for row in m.entries])
-        return out
 
 
-def quotient_rep(g: LieAlgebra, p: Subalgebra) -> Representation:
-    """Action of the subalgebra on parent/subalgebra classes, X.cl(Y) = cl([X,Y]).
+def quotient_character(g: LieAlgebra, p: Subalgebra) -> Cochain:
+    """Character of the action X.cl(Y) = cl([X, Y]) of p on g/p.
 
-    Classes are coordinatized by the canonical complement (the non-pivot
-    coordinates of the subalgebra basis).
+    The trace of that action is Tr_g(ad_X) - Tr_p(ad_X|p).  Each canonical
+    basis vector b_t is 1 at its pivot p_t and 0 at the other pivots, so the
+    diagonal entry of ad_X|p at b_t is the p_t-coordinate of [X, b_t].
     """
-    comp = p.complement
-    mats = []
+    mod_g = trace_adjoint(g).to_vector()
+    values = []
     for b in p.basis:
-        cols = [p.quotient_coords(g.bracket(b, g.basis_vector(q))) for q in comp]
-        mats.append(Matrix.from_columns(cols) if comp else Matrix([]))
-    labels = tuple(g.labels[q] for q in comp)
-    return Representation(p, mats, labels)
+        value = dot(mod_g, b)
+        for pivot, c in zip(p.pivots, p.basis):
+            value -= g.bracket(b, c)[pivot]
+        values.append(value)
+    return Cochain.from_covector(values)
 
 
-def coadjoint_subrep(
-    g: LieAlgebra, p: Subalgebra, subspace: Sequence[Cochain]
-) -> Representation:
-    """Coadjoint action of the subalgebra on an invariant subspace of the dual.
+def coadjoint_character(g: LieAlgebra, p: Subalgebra, ann: Sequence[Cochain]) -> Cochain:
+    """Character of the coadjoint action (X.gamma)(Y) = -gamma([X, Y]) of p on ann(p).
 
-    <X.gamma, Y> = -<gamma, [X, Y]>; raises NotInvariantError when the
-    subspace is not stable.
+    ``ann`` must be the canonical annihilator basis (see ``annihilator``):
+    ann[u] is 1 at the complement coordinate q_u and 0 at the other
+    complement coordinates.  The ann[u]-coordinate of a covector in ann(p)
+    is then its value at e_(q_u), so the trace is
+    X -> -(sum over u of ann[u]([X, e_(q_u)])).
     """
-    covs = [c.to_vector() for c in subspace]
-    if covs:
-        solver = LinearSolver(Matrix.from_columns(covs))
-    adj = g.adjacency()
-    mats = []
-    for b in p.basis:
-        cols = []
-        for gamma in covs:
-            image = [Fraction(0)] * g.dim
-            for i, bc in enumerate(b):
-                if bc == 0:
-                    continue
-                for j, entry, sign in adj[i]:
-                    val = sum((c * gamma[k] for k, c in entry.items()), Fraction(0))
-                    if val != 0:
-                        image[j] -= bc * val if sign > 0 else -bc * val
-            try:
-                cols.append(solver.solve(image).vector)
-            except Exception as exc:
-                raise NotInvariantError((b, gamma, tuple(image))) from exc
-        mats.append(Matrix.from_columns(cols) if covs else Matrix([]))
-    return Representation(p, mats)
-
-
-def infinitesimal_character(rep: Representation) -> Cochain:
-    """Trace of the representation, as a 1-cochain on the acting algebra.
-
-    The result is a 1-cocycle: traces of commutators vanish, which is also
-    verified here against the acting algebra's brackets.
-    """
-    values = [m.trace() for m in rep.matrices]
-    algebra = rep.acting.as_lie_algebra()
-    for s, t in itertools.combinations(range(rep.acting.dim), 2):
-        total = Fraction(0)
-        for k, c in algebra.bracket_basis(s, t).items():
-            total += c * values[k]
-        if total != 0:
-            raise RepresentationError("character is not a cocycle; invalid representation")
+    covs = [gamma.to_vector() for gamma in ann]
+    codim = len(p.complement)
+    identity = [[int(u == v) for v in range(codim)] for u in range(codim)]
+    if [[cov[q] for q in p.complement] for cov in covs] != identity:
+        raise ValueError("expected the canonical annihilator basis of the subalgebra")
+    units = [g.basis_vector(q) for q in p.complement]
+    values = [
+        -sum((dot(cov, g.bracket(b, e)) for cov, e in zip(covs, units)), Fraction(0))
+        for b in p.basis
+    ]
     return Cochain.from_covector(values)

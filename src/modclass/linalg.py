@@ -52,10 +52,6 @@ def vec(*entries) -> Vector:
     return tuple(rat(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 

@@ -291,13 +291,42 @@ def parse_path(path) -> StructureData:
     return parse(text)
 
 
+# Decimal digits per chunk when writing a long int: the smallest int-to-str
+# digit limit Python allows, so every chunk converts under any setting.
+_CHUNK_DIGITS = sys.int_info.str_digits_check_threshold
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of an int of any length.
+
+    ``str(int)`` refuses more than ``sys.get_int_max_str_digits()`` digits.
+    That limit stays in force, because the parser relies on it to reject
+    overlong literals, so long ints are written a chunk at a time.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def rational_str(c: Fraction) -> str:
+    """Exact text form of a rational, ``n`` or ``n/d``, at any size."""
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
 def combination_str(v: Vector, labels: tuple[str, ...]) -> str:
     parts: list[str] = []
     for i, c in enumerate(v):
         if c == 0:
             continue
         mag = abs(c)
-        body = labels[i] if mag == 1 else f"{mag} {labels[i]}"
+        body = labels[i] if mag == 1 else f"{rational_str(mag)} {labels[i]}"
         if not parts and c > 0:
             parts.append(body)
         else:
@@ -327,7 +356,7 @@ def serialize(data: StructureData) -> str:
             lines.append(f"[{sec}]")
             for idx, coeff in obj.sorted_terms():
                 mono = " ".join(g.labels[a] for a in idx)
-                lines.append(f"term {mono} = {coeff}")
+                lines.append(f"term {mono} = {rational_str(coeff)}")
     if data.subalgebra_vectors is not None:
         lines.append("[subalgebra]")
         for v in data.subalgebra_vectors:
@@ -337,7 +366,7 @@ def serialize(data: StructureData) -> str:
             lines.append(f"[{sec}]")
             for idx, coeff in obj.sorted_terms():
                 mono = " ".join(g.labels[a] for a in idx)
-                lines.append(f"term {mono} = {coeff}")
+                lines.append(f"term {mono} = {rational_str(coeff)}")
     return "\n".join(lines) + "\n"
 
 

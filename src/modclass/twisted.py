@@ -11,6 +11,12 @@ package constant, pinned by the catalog structures and covered by a
 regression test; together with this package's differential orientation it
 makes the linearization constructor, the Yang-Baxter check and the dual
 Lie algebra mutually consistent.
+
+The map r# is kept once, as sparse columns (``sharp_columns``); its dense
+matrix is derived from them.  The modular class is the image under r#,
+restricted to the carrier p = im r#, of the character of p acting on g/p.
+That character and the character of p acting on the kernel ann(p) are
+computed as traces (see ``liealg``) and must be opposite.
 """
 
 from __future__ import annotations
@@ -28,13 +34,12 @@ from .liealg import (
     _sort_with_sign,
     annihilator,
     ce_differential,
-    coadjoint_subrep,
-    infinitesimal_character,
-    quotient_rep,
+    coadjoint_character,
+    quotient_character,
     span_subalgebra,
     trace_adjoint,
 )
-from .linalg import Matrix, Vector, dot, kernel_basis, rref, zero_vector
+from .linalg import Matrix, Vector, dot, kernel_basis, rref
 
 #: Global sign relating T(r) to the pullback of psi, frozen once.
 CYBE_SIGN = Fraction(-1)
@@ -49,11 +54,29 @@ class PsiNotClosedError(ValueError):
 
 
 class InternalDisagreementError(AssertionError):
-    """The two modular-class routes disagree; signals a convention bug."""
+    """The kernel and quotient characters are not opposite; signals a convention bug."""
 
 
 class StructureInvariantError(ValueError):
     """A structural invariant of a twisted triangular structure failed."""
+
+
+def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
+    """Images r#e_a* of the dual basis, as sparse vectors.
+
+    Each term c e_i ^ e_j (i < j) of r puts c at row j of column i and -c
+    at row i of column j; no other term touches those two cells.
+    """
+    cols: list[dict[int, Fraction]] = [{} for _ in range(r.dim)]
+    for (i, j), c in r.terms.items():
+        cols[i][j] = c
+        cols[j][i] = -c
+    return cols
+
+
+def _dense(cols: list[dict[int, Fraction]]) -> Matrix:
+    n = len(cols)
+    return Matrix.from_columns([[col.get(k, Fraction(0)) for k in range(n)] for col in cols])
 
 
 def r_sharp_matrix(g: LieAlgebra, r: Multivector) -> Matrix:
@@ -64,11 +87,7 @@ def r_sharp_matrix(g: LieAlgebra, r: Multivector) -> Matrix:
     """
     if r.degree != 2 or r.dim != g.dim:
         raise ValueError("r must be a bivector on the algebra")
-    cols = [[Fraction(0)] * g.dim for _ in range(g.dim)]
-    for (i, j), c in r.terms.items():
-        cols[i][j] += c
-        cols[j][i] -= c
-    return Matrix.from_columns(cols)
+    return _dense(_sharp_columns(r))
 
 
 def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
@@ -108,12 +127,14 @@ def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multi
     """The trivector (a, b, c) -> psi(r#a, r#b, r#c)."""
     if psi.degree != 3 or psi.dim != g.dim:
         raise ValueError("psi must be a 3-cochain on the algebra")
-    sharp = r_sharp_matrix(g, r)
-    # row i of the matrix, seen as a vector on the dual side, is the
-    # pullback of the i-th basis covector along r#
+    if r.degree != 2 or r.dim != g.dim:
+        raise ValueError("r must be a bivector on the algebra")
+    # row i of the r# matrix, seen as a vector on the dual side, is the
+    # pullback of the i-th basis covector along r#; the matrix is skew, so
+    # that row is minus column i
     rows = [
-        Multivector(g.dim, 1, {(a,): sharp[i, a] for a in range(g.dim)})
-        for i in range(g.dim)
+        Multivector(g.dim, 1, {(a,): -c for a, c in col.items()})
+        for col in _sharp_columns(r)
     ]
     out = Multivector.zero(g.dim, 3)
     for (i, j, k), c in psi.terms.items():
@@ -214,18 +235,13 @@ class TwistedTriangularStructure:
     @property
     def sharp(self) -> Matrix:
         if self._sharp is None:
-            object.__setattr__(self, "_sharp", r_sharp_matrix(self.g, self.r))
+            object.__setattr__(self, "_sharp", _dense(self.sharp_columns()))
         return self._sharp
 
     def sharp_columns(self) -> list[dict[int, Fraction]]:
         """Images of the dual basis under r#, as sparse vectors."""
         if self._sharp_cols is None:
-            cols: list[dict[int, Fraction]] = [{} for _ in range(self.g.dim)]
-            for (i, j), c in self.r.terms.items():
-                cols[i][j] = cols[i].get(j, Fraction(0)) + c
-                cols[j][i] = cols[j].get(i, Fraction(0)) - c
-            cols = [{k: v for k, v in col.items() if v != 0} for col in cols]
-            object.__setattr__(self, "_sharp_cols", cols)
+            object.__setattr__(self, "_sharp_cols", _sharp_columns(self.r))
         return self._sharp_cols
 
     def sharp_apply(self, alpha: Cochain | Sequence[Fraction]) -> Vector:
@@ -316,11 +332,9 @@ def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], 
                         elif k < a:
                             add(k, a, j, sign * xi * c)
 
-        # rows[m] maps a to the m-th coordinate of r#e_a*
-        rows: list[dict[int, Fraction]] = [{} for _ in range(g.dim)]
-        for a, col in enumerate(cols):
-            for m, v in col.items():
-                rows[m][a] = v
+        # rows[m] maps a to the m-th coordinate of r#e_a*; r# is skew, so
+        # that is minus the a-th coordinate of r#e_m*
+        rows = [{a: -v for a, v in col.items()} for col in cols]
         for idx, c in structure.psi.terms.items():
             for u, v, w, sign in _PSI_SLOTS:
                 signed = sign * c
@@ -419,43 +433,26 @@ def sharp_homomorphism_residuals(structure: TwistedTriangularStructure) -> Multi
     """
     g = structure.g
     table = _dual_table(structure)
-    cols = structure.sharp_columns()
-    zero = (Fraction(0),) * g.dim
+    sharp = structure.sharp
     for a, b in itertools.combinations(range(g.dim), 2):
-        entry = table.get((a, b))
-        if entry:
-            cov = [Fraction(0)] * g.dim
-            for k, c in entry.items():
-                cov[k] = c
-            lhs = structure.sharp_apply(cov)
-        else:
-            lhs = zero
-        xa = [Fraction(0)] * g.dim
-        for k, c in cols[a].items():
-            xa[k] = c
-        xb = [Fraction(0)] * g.dim
-        for k, c in cols[b].items():
-            xb[k] = c
-        if lhs != g.bracket(xa, xb):
+        entry = table.get((a, b), {})
+        lhs = structure.sharp_apply([entry.get(k, Fraction(0)) for k in range(g.dim)])
+        if lhs != g.bracket(sharp.column(a), sharp.column(b)):
             return Multivector(g.dim, 2, {(a, b): Fraction(1)})
     return None
 
 
 def restricted_sharp(
-    structure: TwistedTriangularStructure,
-    carrier: Subalgebra,
-    chi: Cochain,
-    *,
-    alternative: bool = False,
+    structure: TwistedTriangularStructure, carrier: Subalgebra, chi: Cochain
 ) -> Vector:
     """Apply r# to a 1-cochain on the carrier via extension by zero.
 
-    The extension vanishes on the canonical complement (or on an
-    alternative complement, used as a built-in well-definedness test).
+    The extension vanishes on the canonical complement.  Two extensions of
+    chi differ by an element of ann(carrier), the kernel of r#, so the
+    image does not depend on that choice; ``modular_class`` checks the
+    kernel condition.
     """
-    comp = carrier.alternative_complement() if alternative else None
-    extended = carrier.extend_cochain_by_zero(chi, comp)
-    return structure.sharp_apply(extended)
+    return structure.sharp_apply(carrier.extend_cochain_by_zero(chi))
 
 
 @dataclass(frozen=True)
@@ -479,49 +476,41 @@ class ModularClassReport:
 
 
 def modular_class(structure: TwistedTriangularStructure) -> ModularClassReport:
-    """The modular class representative, computed two independent ways.
+    """The modular class representative, from the two characters of the carrier.
 
-    Route one: minus the image under the restricted r# of the character of
-    the coadjoint action of the carrier on the kernel.  Route two: plus the
-    image of the character of the induced action on the quotient.  The two
-    must agree exactly; the representative is a 1-cocycle of the dual Lie
-    algebra, which is also verified.
+    The carrier p acts on the kernel ann(p) by the coadjoint action and on
+    g/p by the induced action.  The two actions are dual, so their
+    characters, computed independently as traces, must be opposite; a
+    mismatch is an InternalDisagreementError.  The representative is the
+    image of the quotient character under the restricted r#.  It must lie
+    in the carrier and be a 1-cocycle of the dual Lie algebra, and r# must
+    vanish on the kernel, so that the restricted r# does not depend on the
+    complement used to extend a character; each is a recorded crosscheck.
     """
     if structure._modular is not None:
         return structure._modular
     structure.ensure_verified()
     g = structure.g
     carrier, kernel = carrier_and_kernel(structure)
-    chi_kernel = infinitesimal_character(coadjoint_subrep(g, carrier, kernel))
-    chi_quotient = infinitesimal_character(quotient_rep(g, carrier))
+    chi_kernel = coadjoint_character(g, carrier, kernel)
+    chi_quotient = quotient_character(g, carrier)
 
-    checks: dict[str, CrossCheck] = {}
-
-    if carrier.dim:
-        route_kernel = tuple(
-            -x for x in restricted_sharp(structure, carrier, chi_kernel)
-        )
-        route_quotient = restricted_sharp(structure, carrier, chi_quotient)
-        alt = restricted_sharp(structure, carrier, chi_quotient, alternative=True)
-        checks["extension_independent"] = CrossCheck(
-            alt == route_quotient,
-            "r# of the zero-extension agrees for two choices of complement",
-        )
-    else:
-        route_kernel = zero_vector(g.dim)
-        route_quotient = zero_vector(g.dim)
-        checks["extension_independent"] = CrossCheck(True, "trivial carrier")
-
-    if route_kernel != route_quotient:
+    if chi_kernel != -chi_quotient:
         raise InternalDisagreementError(
-            "kernel-character and quotient-character routes disagree: "
-            f"{route_kernel} vs {route_quotient}"
+            "kernel and quotient characters are not opposite: "
+            f"{chi_kernel!r} vs {chi_quotient!r}"
         )
-    checks["routes_agree"] = CrossCheck(True, "kernel and quotient routes agree")
-    representative = route_quotient
+    checks: dict[str, CrossCheck] = {
+        "routes_agree": CrossCheck(True, "kernel and quotient characters are opposite"),
+        "extension_independent": CrossCheck(
+            all(not any(structure.sharp_apply(k)) for k in kernel),
+            "r# vanishes on the kernel, so no choice of complement matters",
+        ),
+    }
+    representative = restricted_sharp(structure, carrier, chi_quotient)
 
     checks["representative_in_carrier"] = CrossCheck(
-        carrier.coords_of(representative) is not None if carrier.dim else representative == zero_vector(g.dim),
+        carrier.coords_of(representative) is not None,
         "representative lies in the carrier",
     )
 

@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,43 @@ JACOBI_VIOLATOR = (
     "[algebra]\nlabels = x y z\n"
     "bracket x y = y\nbracket x z = z\nbracket y z = x\n"
 )
+
+
+# a Heisenberg file whose Yang-Baxter residual has about 6000 digits: each
+# literal is below the int conversion limit, their product is far above it
+LONG_LITERAL = "7" * 3000
+HEISENBERG_LONG_R = (
+    "[algebra]\nlabels = x y z\nbracket x y = z\n[r]\nterm x y = " + LONG_LITERAL + "\n"
+)
+
+
+def _digits_value(text: str) -> Fraction:
+    """An exact rational from its printed digits, without int(str)."""
+    sign = -1 if text.startswith("-") else 1
+    num, _, den = text.lstrip("-").partition("/")
+
+    def value(digits):
+        out = 0
+        for d in digits:
+            out = 10 * out + "0123456789".index(d)
+        return out
+
+    return Fraction(sign * value(num), value(den) if den else 1)
+
+
+@pytest.fixture()
+def long_residual_file(tmp_path):
+    from modclass.liealg import LieAlgebra, Multivector
+    from modclass.twisted import cybe_lhs_trivector
+
+    path = tmp_path / "heisenberg_long.lie"
+    path.write_text(HEISENBERG_LONG_R, encoding="utf-8")
+    g = LieAlgebra(["x", "y", "z"], {(0, 1): {2: 1}})
+    coeff = Fraction(10 ** 3000 - 1, 9) * 7
+    residual = cybe_lhs_trivector(g, Multivector(3, 2, {(0, 1): coeff}))
+    expected = residual.coefficient(0, 1, 2)
+    assert abs(expected.numerator).bit_length() > 3.33 * sys.get_int_max_str_digits()
+    return path, expected
 
 
 @pytest.fixture()
@@ -93,6 +132,58 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "verified"
         assert payload["yang_baxter"] is True
+
+
+class TestLongCoefficients:
+    """A report coefficient too long for str(int) is still written exactly."""
+
+    @pytest.mark.parametrize("command", ["verify", "modular", "relations"])
+    def test_text_report(self, long_residual_file, command, capsys):
+        path, expected = long_residual_file
+        assert main([command, str(path)]) == 1
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("  residual x^y^z = "))
+        assert _digits_value(line.split(" = ")[1]) == expected
+        assert "status: FAILED (twisted Yang-Baxter equation fails)" in out
+
+    def test_linearize_writes_long_coefficients(self, tmp_path, capsys):
+        # the inverse of a Gram matrix with 2200-digit entries has longer ones
+        from modclass.frobenius import linearize
+        from modclass.liealg import LieAlgebra, whole_algebra
+
+        long = "7" * 2200
+        values = {"a b": long + "1", "a c": long + "3", "a d": long + "7",
+                  "b c": long + "9", "b d": "3" + long, "c d": "1" + long}
+        path = tmp_path / "long_mu.lie"
+        path.write_text(
+            "[algebra]\nlabels = a b c d\n[subalgebra]\n"
+            + "".join(f"vector = {x}\n" for x in "abcd")
+            + "[mu]\n" + "".join(f"term {k} = {v}\n" for k, v in values.items()),
+            encoding="utf-8",
+        )
+        assert main(["linearize", str(path)]) == 0
+        out = capsys.readouterr().out
+        g = LieAlgebra(list("abcd"), {})
+        mu = parse(path.read_text(encoding="utf-8")).mu
+        r = linearize(g, whole_algebra(g), mu).r
+        printed = {
+            tuple(line[len("term "):].split(" = ")[0].split()): line.split(" = ")[1]
+            for line in out.split("[psi]")[0].splitlines()
+            if line.startswith("term ")
+        }
+        assert {k: _digits_value(v) for k, v in printed.items()} == {
+            tuple("abcd"[i] for i in idx): c for idx, c in r.terms.items()
+        }
+        assert max(len(v) for v in printed.values()) > sys.get_int_max_str_digits()
+
+    def test_verify_json(self, long_residual_file, capsys):
+        path, expected = long_residual_file
+        assert main(["verify", str(path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "failed"
+        (term,) = payload["residual"]
+        assert term["indices"] == ["x", "y", "z"]
+        assert _digits_value(term["coefficient"]) == expected
 
 
 class TestModular:

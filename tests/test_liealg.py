@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import heisenberg, random_cochain, solvable4
+from conftest import heisenberg, make_random_linearize_input, random_cochain, solvable4
 from modclass.catalog import affine_algebra, gl, q_subalgebra
 from modclass.liealg import (
     Cochain,
@@ -12,22 +12,19 @@ from modclass.liealg import (
     LieAlgebra,
     Multivector,
     NotClosedError,
-    NotInvariantError,
-    Representation,
-    RepresentationError,
+    Subalgebra,
     annihilator,
     ce_differential,
     check_jacobi,
-    coadjoint_subrep,
-    infinitesimal_character,
+    coadjoint_character,
     interior,
     pair,
-    quotient_rep,
+    quotient_character,
     span_subalgebra,
     trace_adjoint,
     whole_algebra,
 )
-from modclass.linalg import Matrix
+from modclass.linalg import LinearSolver, Matrix
 
 
 def F(x):
@@ -292,7 +289,105 @@ class TestAnnihilator:
         assert len(annihilator(g, p)) + p.dim == g.dim
 
 
+# ---------------------------------------------------------------------------
+# Matrix-route oracle: the representations themselves, as full matrices.
+# The library computes only their characters, as traces; this route builds
+# every action matrix, solves for each column, checks the homomorphism
+# identity with matrix products and checks that the trace is a cocycle.
+
+
+class RepresentationError(ValueError):
+    """Matrices that do not define a Lie algebra homomorphism."""
+
+
+class NotInvariantError(ValueError):
+    """A subspace of the dual that is not stable under the coadjoint action."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__("subspace is not invariant under the coadjoint action")
+
+
+class Representation:
+    """A Lie algebra homomorphism into matrices, one per basis element."""
+
+    def __init__(self, acting: Subalgebra, matrices):
+        if len(matrices) != acting.dim:
+            raise RepresentationError("need one matrix per basis element")
+        self.acting = acting
+        self.matrices = tuple(matrices)
+        self.space_dim = matrices[0].rows if matrices else 0
+        for m in self.matrices:
+            if m.rows != self.space_dim or m.cols != self.space_dim:
+                raise RepresentationError("matrices must be square of equal size")
+        algebra = acting.as_lie_algebra()
+        for s, t in itertools.combinations(range(acting.dim), 2):
+            expected = Matrix.zeros(self.space_dim, self.space_dim)
+            for k, c in algebra.bracket_basis(s, t).items():
+                expected = expected + Matrix(
+                    [[c * x for x in row] for row in self.matrices[k].entries]
+                )
+            commutator = self.matrices[s] @ self.matrices[t] - self.matrices[t] @ self.matrices[s]
+            if commutator != expected:
+                raise RepresentationError(
+                    f"matrices fail the homomorphism identity at basis pair ({s}, {t})"
+                )
+
+
+def quotient_coords(p, v):
+    """Coordinates of the class of v in the canonical complement basis."""
+    residual = list(v)
+    for pivot, b in zip(p.pivots, p.basis):
+        c = residual[pivot]
+        if c != 0:
+            residual = [r - c * x for r, x in zip(residual, b)]
+    return tuple(residual[q] for q in p.complement)
+
+
+def quotient_rep(g, p) -> Representation:
+    """Action X.cl(Y) = cl([X,Y]) on classes, in the canonical complement."""
+    mats = []
+    for b in p.basis:
+        cols = [quotient_coords(p, g.bracket(b, g.basis_vector(q))) for q in p.complement]
+        mats.append(Matrix.from_columns(cols) if p.complement else Matrix([]))
+    return Representation(p, mats)
+
+
+def coadjoint_subrep(g, p, subspace) -> Representation:
+    """Coadjoint action <X.gamma, Y> = -<gamma, [X, Y]> on an invariant subspace."""
+    covs = [c.to_vector() for c in subspace]
+    if covs:
+        solver = LinearSolver(Matrix.from_columns(covs))
+    mats = []
+    for b in p.basis:
+        cols = []
+        for gamma in covs:
+            image = tuple(
+                -sum((c * x for c, x in zip(gamma, g.bracket(b, g.basis_vector(j)))), F(0))
+                for j in range(g.dim)
+            )
+            try:
+                cols.append(solver.solve(image).vector)
+            except ValueError as exc:
+                raise NotInvariantError((b, gamma, image)) from exc
+        mats.append(Matrix.from_columns(cols) if covs else Matrix([]))
+    return Representation(p, mats)
+
+
+def infinitesimal_character(rep: Representation) -> Cochain:
+    """Trace of the representation; traces of commutators must vanish."""
+    values = [m.trace() for m in rep.matrices]
+    algebra = rep.acting.as_lie_algebra()
+    for s, t in itertools.combinations(range(rep.acting.dim), 2):
+        total = sum((c * values[k] for k, c in algebra.bracket_basis(s, t).items()), F(0))
+        if total != 0:
+            raise RepresentationError("character is not a cocycle; invalid representation")
+    return Cochain.from_covector(values)
+
+
 class TestRepresentations:
+    """The matrix-route oracle's own checks."""
+
     def test_quotient_of_whole_algebra_is_trivial(self, gl_algebras):
         g = gl_algebras[2]
         rep = quotient_rep(g, whole_algebra(g))
@@ -352,15 +447,14 @@ class TestRepresentations:
 
 class TestCharacters:
     def test_affine_quotient_character_vanishes(self, affine_entry):
-        rep = quotient_rep(affine_entry.g, affine_entry.subalgebra)
-        assert infinitesimal_character(rep).is_zero()
+        assert quotient_character(affine_entry.g, affine_entry.subalgebra).is_zero()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_q_family_quotient_character(self, n, q_entries):
         entry = q_entries[n]
         g = entry.g
         p = entry.subalgebra
-        chi = infinitesimal_character(quotient_rep(g, p))
+        chi = quotient_character(g, p)
         expected = {}
         for s, b in enumerate(p.basis):
             val = -sum((b[g.index(f"e{i}{i}")] for i in range(1, n)), F(0))
@@ -374,7 +468,7 @@ class TestCharacters:
         # diagonal combinations: on h1 it gives -n, on later hk it gives 0
         entry = gg_entries[n]
         g, p = entry.g, entry.subalgebra
-        chi = infinitesimal_character(quotient_rep(g, p))
+        chi = quotient_character(g, p)
         chi_vec = chi.to_vector()
         h1 = p.coords_of(g.basis_vector(g.index("h1")))
         assert sum((c * x for c, x in zip(h1, chi_vec)), F(0)) == -n
@@ -406,9 +500,53 @@ class TestCharacters:
             )
         )
         for g, p in cases:
-            chi_q = infinitesimal_character(quotient_rep(g, p))
-            chi_c = infinitesimal_character(coadjoint_subrep(g, p, annihilator(g, p)))
+            chi_q = quotient_character(g, p)
+            chi_c = coadjoint_character(g, p, annihilator(g, p))
             assert chi_q == -1 * chi_c
+
+    def test_coadjoint_requires_canonical_annihilator(self, affine_entry):
+        g, p = affine_entry.g, affine_entry.subalgebra
+        ann = annihilator(g, p)
+        swapped = [ann[1], ann[0]]
+        scaled = [2 * ann[0], ann[1]]
+        for bad in (swapped, scaled, ann[:1]):
+            with pytest.raises(ValueError, match="canonical annihilator"):
+                coadjoint_character(g, p, bad)
+
+
+class TestCharactersAgainstOracle:
+    """Both trace characters equal the traces of the oracle's matrices."""
+
+    @staticmethod
+    def assert_matches_oracle(g, p):
+        ann = annihilator(g, p)
+        assert quotient_character(g, p) == infinitesimal_character(quotient_rep(g, p))
+        assert coadjoint_character(g, p, ann) == infinitesimal_character(
+            coadjoint_subrep(g, p, ann)
+        )
+
+    def test_affine(self, affine_entry):
+        self.assert_matches_oracle(affine_entry.g, affine_entry.subalgebra)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_q_family(self, n, q_entries):
+        self.assert_matches_oracle(q_entries[n].g, q_entries[n].subalgebra)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gg_family(self, n, gg_entries):
+        self.assert_matches_oracle(gg_entries[n].g, gg_entries[n].subalgebra)
+
+    def test_seeded_linearization_carriers(self):
+        rng = random.Random(303)
+        for _ in range(20):
+            g, p, _ = make_random_linearize_input(rng)
+            self.assert_matches_oracle(g, p)
+
+    def test_zero_bivector_carrier(self, gl_algebras):
+        # r = 0: the carrier is the zero subalgebra and the kernel is everything
+        g = gl_algebras[3]
+        self.assert_matches_oracle(g, span_subalgebra(g, []))
+        self.assert_matches_oracle(g, whole_algebra(g))
 
 
 class TestTraceAdjoint:

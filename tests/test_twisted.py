@@ -18,6 +18,7 @@ from modclass.liealg import (
 from modclass.linalg import dot
 from modclass.twisted import (
     CYBE_SIGN,
+    InternalDisagreementError,
     PsiNotClosedError,
     StructureInvariantError,
     TwistedTriangularStructure,
@@ -424,6 +425,27 @@ class TestModularClass:
         assert report.carrier.dim == 2
         assert report.kernel == []
         assert report.representative == (F(0), F(0))
+
+    @pytest.mark.parametrize(
+        "extra, error, match",
+        [
+            # e12* + e11* leaves the characters opposite, but r# does not
+            # vanish on it
+            ("e11", StructureInvariantError, "extension_independent"),
+            # e12* + e13* also changes the kernel character
+            ("e13", InternalDisagreementError, "not opposite"),
+        ],
+    )
+    def test_corrupted_kernel(self, affine_entry, extra, error, match):
+        base = affine_entry.structure
+        g = base.g
+        st = TwistedTriangularStructure(g, base.r, base.psi)
+        _, kernel = carrier_and_kernel(st)
+        assert kernel[0] == Cochain.basis(g.dim, g.index("e12"))
+        bad = [kernel[0] + Cochain.basis(g.dim, g.index(extra))] + kernel[1:]
+        object.__setattr__(st, "_kernel", bad)
+        with pytest.raises(error, match=match):
+            modular_class(st)
 
     def test_sharp_homomorphism_on_catalog(self, affine_entry, q_entries, gg_entries):
         for st in (
