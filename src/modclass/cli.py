@@ -20,7 +20,6 @@ from .frobenius import (
     DegenerateFormError,
     NotFrobeniusError,
     frobenius_modular,
-    is_frobenius,
     linearize,
 )
 from .liealg import Cochain, Multivector, NotClosedError, span_subalgebra
@@ -302,19 +301,15 @@ def cmd_frobenius(args, report: _Report) -> None:
     vectors = _require(data, "subalgebra_vectors", "frobenius")
     xi_g = _require(data, "xi", "frobenius")
     p = _span_or_fail(g, vectors)
-    xi = p.restrict_cochain(xi_g)
-    check = is_frobenius(p, xi)
-    if not check.ok:
-        report.add("frobenius: no", "frobenius", False)
-        raise _Failure(
-            "the pairing xi([.,.]) is degenerate",
-            {"kernel_witness": _vector_json(g.labels, check.kernel_witness)},
-        )
-    report.add("frobenius: yes", "frobenius", True)
     try:
-        x = frobenius_modular(g, p, xi)
+        x = frobenius_modular(g, p, p.restrict_cochain(xi_g))
     except NotFrobeniusError as exc:
-        raise _Failure(str(exc))
+        report.add("frobenius: no", "frobenius", False)
+        detail = {}
+        if exc.witness is not None:
+            detail["kernel_witness"] = _vector_json(g.labels, exc.witness)
+        raise _Failure(str(exc), detail)
+    report.add("frobenius: yes", "frobenius", True)
     report.add(
         "modular representative: " + combination_str(x, g.labels),
         "representative",

@@ -22,12 +22,16 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
+    NoSolutionError,
     SingularMatrixError,
     Vector,
     invert,
     kernel_basis,
+    solve,
 )
-from .twisted import TwistedTriangularStructure, modular_class, restricted_sharp
+from .twisted import TwistedTriangularStructure
+
+_EMPTY_FORM = "the empty form on a zero subalgebra is degenerate"
 
 
 class DegenerateFormError(ValueError):
@@ -39,11 +43,17 @@ class DegenerateFormError(ValueError):
 
 
 class NotFrobeniusError(ValueError):
-    """The pairing induced by a 1-cochain is degenerate."""
+    """The pairing induced by a 1-cochain is degenerate.
+
+    The witness is a nonzero kernel vector of the pairing; the zero
+    subalgebra has none.
+    """
 
     def __init__(self, witness: Vector | None = None):
         self.witness = witness
-        super().__init__("the form xi([.,.]) is degenerate on the subalgebra")
+        super().__init__(
+            "the pairing xi([.,.]) is degenerate" if witness is not None else _EMPTY_FORM
+        )
 
 
 def _gram(p: Subalgebra, mu: Cochain) -> Matrix:
@@ -58,27 +68,12 @@ def _gram(p: Subalgebra, mu: Cochain) -> Matrix:
 def mu_from_xi(p: Subalgebra, xi: Cochain) -> Cochain:
     """The 2-cochain (X, Y) -> xi([X, Y]) on the subalgebra.
 
-    Computed twice, from the bracket directly and as the differential of
-    xi, and required to agree; this is the package's 1-to-2 degree sign
-    regression check.
+    In this package's orientation that is the differential of xi; the test
+    suite checks it against the bracket pairing.
     """
     if xi.degree != 1 or xi.dim != p.dim:
         raise ValueError("expected a 1-cochain on the subalgebra")
-    algebra = p.as_lie_algebra()
-    xi_vec = xi.to_vector()
-    terms = {}
-    for s, t in itertools.combinations(range(p.dim), 2):
-        value = Fraction(0)
-        for k, c in algebra.bracket_basis(s, t).items():
-            value += c * xi_vec[k]
-        if value != 0:
-            terms[(s, t)] = value
-    mu = Cochain(p.dim, 2, terms)
-    if mu != ce_differential(algebra, xi):
-        raise AssertionError(
-            "orientation regression: xi([.,.]) differs from the differential of xi"
-        )
-    return mu
+    return ce_differential(p.as_lie_algebra(), xi)
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,13 @@ class FrobeniusCheck:
 
 
 def is_frobenius(p: Subalgebra, xi: Cochain) -> FrobeniusCheck:
-    """Whether xi([.,.]) is non-degenerate; a kernel vector witnesses failure."""
+    """Whether xi([.,.]) is non-degenerate; a kernel vector witnesses failure.
+
+    The empty form on the zero subalgebra counts as degenerate, as in
+    ``invert_cochain``; it has no witness.
+    """
+    if p.dim == 0:
+        return FrobeniusCheck(False)
     gram = _gram(p, mu_from_xi(p, xi))
     null = kernel_basis(gram)
     if null:
@@ -107,7 +108,7 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
     """
     gram = _gram(p, mu)
     if p.dim == 0:
-        raise DegenerateFormError("the empty form on a zero subalgebra is degenerate")
+        raise DegenerateFormError(_EMPTY_FORM)
     try:
         coeff = invert(gram)
     except SingularMatrixError:
@@ -192,36 +193,18 @@ def linearize_from_parts(
 def frobenius_modular(g: LieAlgebra, p: Subalgebra, xi: Cochain) -> Vector:
     """The unique carrier element X with ad*_X xi = chi(quotient action).
 
-    Solved directly from the linear system, then cross-checked against the
-    closed form: X is the image of the quotient character under the
-    restricted r# of the inverse bivector.
+    In carrier coordinates, (ad*_{b_s} xi)(b_t) = -xi([b_s, b_t]) =
+    mu(b_t, b_s) with mu = xi([.,.]), so the system is G x = chi for the
+    Gram matrix G of mu.  A singular G raises NotFrobeniusError with a
+    kernel vector, and the zero subalgebra counts as degenerate.
     """
-    mu = mu_from_xi(p, xi)
-    gram = _gram(p, mu)
-    # column s of the system is ad*_{b_s} xi evaluated on the basis:
-    # (ad*_{b_s} xi)(b_t) = -xi([b_s, b_t]) = -mu(b_s, b_t), so the matrix
-    # is -G with rows indexed by t.
-    system = Matrix([[-gram[s, t] for s in range(p.dim)] for t in range(p.dim)])
-    chi = quotient_character(g, p)
-    chi_vec = list(chi.to_vector())
+    if p.dim == 0:
+        raise NotFrobeniusError()
+    gram = _gram(p, mu_from_xi(p, xi))
     try:
-        inv = invert(system)
-    except SingularMatrixError:
-        witness = p.from_coords(kernel_basis(gram)[0]) if kernel_basis(gram) else None
-        raise NotFrobeniusError(witness)
-    coords = inv.apply(chi_vec)
-    x = p.from_coords(coords)
-
-    r = invert_cochain(p, mu)
-    structure = TwistedTriangularStructure(g, r, Cochain.zero(g.dim, 3))
-    closed_form = restricted_sharp(structure, p, chi)
-    if closed_form != x:
-        raise AssertionError(
-            "orientation regression: linear solve and restricted-sharp routes disagree"
-        )
-    report = modular_class(structure)
-    if report.representative != x:
-        raise AssertionError(
-            "orientation regression: modular class of the derived structure disagrees"
-        )
-    return x
+        coords, unique = solve(gram, quotient_character(g, p).to_vector())
+    except NoSolutionError:
+        unique = False
+    if not unique:
+        raise NotFrobeniusError(p.from_coords(kernel_basis(gram)[0]))
+    return p.from_coords(coords)

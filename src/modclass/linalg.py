@@ -6,10 +6,9 @@ are immutable and small (dimensions up to ~100), so plain fraction-reducing
 Gaussian elimination is used instead of fraction-free variants.
 
 Products skip zeros: ``dot`` multiplies only the pairs of entries that are
-both nonzero, and ``Matrix.apply``, ``Matrix.__matmul__`` and
-``LinearSolver.solve`` go through it.  The vectors and matrices of this
-package are mostly zeros, and since the arithmetic is exact the skipped
-terms cannot change any result.
+both nonzero, and ``Matrix.apply`` and ``Matrix.__matmul__`` go through
+it.  The vectors and matrices of this package are mostly zeros, and since
+the arithmetic is exact the skipped terms cannot change any result.
 """
 
 from __future__ import annotations
@@ -260,37 +259,3 @@ def invert(m: Matrix) -> Matrix:
     if rank < n or any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
     return Matrix([row[n:] for row in reduced.entries])
-
-
-class LinearSolver:
-    """Factor a matrix once, then solve m x = b repeatedly.
-
-    Stores the rref of [m | I]; each solve is a single matrix-vector
-    product plus a consistency check.
-    """
-
-    def __init__(self, m: Matrix):
-        self.m = m
-        augmented = Matrix(
-            [
-                list(m.entries[i]) + [1 if j == i else 0 for j in range(m.rows)]
-                for i in range(m.rows)
-            ]
-        )
-        reduced, pivots, _ = rref(augmented)
-        self._reduced_m = Matrix([row[: m.cols] for row in reduced.entries])
-        self._transform = Matrix([row[m.cols :] for row in reduced.entries])
-        self.pivots = tuple(p for p in pivots if p < m.cols)
-        self.rank = len(self.pivots)
-
-    def solve(self, b: Sequence[Fraction]) -> Solution:
-        # rref of [m | I] yields T with T m in rref; m x = b iff (T m) x = T b,
-        # and rows of T m beyond the rank are zero.
-        rhs = self._transform.apply(b)
-        for i in range(self.rank, self.m.rows):
-            if rhs[i] != 0:
-                raise NoSolutionError("inconsistent linear system")
-        x = [Fraction(0)] * self.m.cols
-        for i, p in enumerate(self.pivots):
-            x[p] = rhs[i]
-        return Solution(tuple(x), unique=(self.rank == self.m.cols))

@@ -77,9 +77,12 @@ def _is_rational(token: str) -> bool:
 
 
 def _fraction(token: str, line: int) -> Fraction:
-    """A rational literal; one too long for int() conversion is malformed."""
+    """A rational literal; a zero denominator, or a literal too long for
+    int() conversion, is malformed."""
     try:
         return Fraction(token)
+    except ZeroDivisionError as exc:
+        raise _fail(f"zero denominator in {token!r}", line) from exc
     except ValueError as exc:
         raise _fail(
             "rational literal too long: a numerator or denominator has more "

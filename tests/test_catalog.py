@@ -14,7 +14,7 @@ from modclass.catalog import (
     sl,
 )
 from modclass.liealg import LieAlgebra, Multivector, ce_differential, check_jacobi
-from modclass.linalg import LinearSolver, Matrix
+from modclass.linalg import Matrix, solve
 
 def F(x):
     return Fraction(x)
@@ -29,12 +29,12 @@ def matrix_basis_algebra(labels, matrices):
     mats = [Matrix(m) for m in matrices]
     size = mats[0].rows
     flats = [[m[i, j] for i in range(size) for j in range(size)] for m in mats]
-    solver = LinearSolver(Matrix.from_columns(flats))
+    basis = Matrix.from_columns(flats)
     table = {}
     for a, b in itertools.combinations(range(len(mats)), 2):
         comm = mats[a] @ mats[b] - mats[b] @ mats[a]
         flat = [comm[i, j] for i in range(size) for j in range(size)]
-        coords = solver.solve(flat).vector
+        coords = solve(basis, flat).vector
         entry = {k: c for k, c in enumerate(coords) if c != 0}
         if entry:
             table[(a, b)] = entry

@@ -107,6 +107,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "line 5: rational literal too long" in out
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[algebra]\nlabels = a b\nbracket a b = 1/0 b\n", "line 3: zero denominator in '1/0'"),
+            (
+                "[algebra]\nlabels = a b\nbracket a b = b\n[r]\nterm a b = 3/0\n",
+                "line 5: zero denominator in '3/0'",
+            ),
+        ],
+        ids=["bracket", "term"],
+    )
+    def test_zero_denominator_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "zero.lie"
+        path.write_text(text, encoding="utf-8")
+        for command in ("verify", "modular", "relations", "frobenius", "linearize"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.out + captured.err
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.lie"
         path.write_bytes(b"[algebra]\nlabels = x \xff y\n")
@@ -238,6 +257,23 @@ class TestFrobenius:
         path.write_text(text, encoding="utf-8")
         assert main(["frobenius", str(path)]) == 1
         assert "degenerate" in capsys.readouterr().out
+
+    def test_empty_subalgebra_is_degenerate(self, tmp_path, capsys):
+        # the same verdict as linearize on an empty subalgebra, and no witness
+        head = "[algebra]\nlabels = a b\nbracket a b = b\n[subalgebra]\n"
+        frob = tmp_path / "empty_xi.lie"
+        frob.write_text(head + "[xi]\n", encoding="utf-8")
+        lin = tmp_path / "empty_mu.lie"
+        lin.write_text(head + "[mu]\n", encoding="utf-8")
+        verdict = "the empty form on a zero subalgebra is degenerate"
+        assert main(["frobenius", str(frob)]) == 1
+        assert capsys.readouterr().out == f"frobenius: no\nstatus: FAILED ({verdict})\n"
+        assert main(["frobenius", str(frob), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["frobenius"] is False and payload["error"] == verdict
+        assert "kernel_witness" not in payload
+        assert main(["linearize", str(lin)]) == 1
+        assert verdict in capsys.readouterr().out
 
     def test_unclosed_span_names_the_witness(self, tmp_path, capsys):
         text = (

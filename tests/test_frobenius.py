@@ -8,6 +8,7 @@ from conftest import make_random_linearize_input
 from modclass.catalog import p1_subalgebra, sl
 from modclass.frobenius import (
     DegenerateFormError,
+    FrobeniusCheck,
     NotFrobeniusError,
     frobenius_modular,
     invert_bivector,
@@ -21,10 +22,17 @@ from modclass.liealg import (
     Cochain,
     LieAlgebra,
     Multivector,
+    quotient_character,
     span_subalgebra,
     whole_algebra,
 )
-from modclass.twisted import carrier_and_kernel, modular_class, verify_twisted_cybe
+from modclass.twisted import (
+    TwistedTriangularStructure,
+    carrier_and_kernel,
+    modular_class,
+    restricted_sharp,
+    verify_twisted_cybe,
+)
 
 
 def F(x):
@@ -128,8 +136,6 @@ class TestInvertCochain:
         xi = p.restrict_cochain(Cochain.basis(g.dim, g.index("e12")))
         mu = mu_from_xi(p, xi)
         r = invert_cochain(p, mu)
-        from modclass.twisted import TwistedTriangularStructure, restricted_sharp
-
         st = TwistedTriangularStructure(g, r, Cochain.zero(g.dim, 3))
         for s in range(p.dim):
             flat = Cochain(
@@ -255,18 +261,29 @@ class TestFrobeniusModular:
         with pytest.raises(NotFrobeniusError):
             frobenius_modular(g, p, Cochain.basis(2, 0))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_agrees_with_modular_class_route(self, n, gg_entries):
+        # the linear solve, the restricted r# of the inverse bivector applied
+        # to the quotient character, and the full modular class of the
+        # structure (r, 0) give the same representative
         entry = gg_entries[n]
+        g = entry.g
         p = entry.subalgebra
         xi = p.restrict_cochain(entry.xi)
-        mu = mu_from_xi(p, xi)
-        r = invert_cochain(p, mu)
-        from modclass.twisted import TwistedTriangularStructure
+        x = frobenius_modular(g, p, xi)
+        r = invert_cochain(p, mu_from_xi(p, xi))
+        st = TwistedTriangularStructure(g, r, Cochain.zero(g.dim, 3))
+        assert restricted_sharp(st, p, quotient_character(g, p)) == x
+        assert modular_class(st).representative == x
 
-        st = TwistedTriangularStructure(entry.g, r, Cochain.zero(entry.g.dim, 3))
-        report = modular_class(st)
-        assert report.representative == frobenius_modular(entry.g, p, xi)
+    def test_zero_subalgebra_is_not_frobenius(self, gl_algebras):
+        g = gl_algebras[2]
+        p = span_subalgebra(g, [])
+        xi = Cochain.zero(0, 1)
+        assert is_frobenius(p, xi) == FrobeniusCheck(False)
+        with pytest.raises(NotFrobeniusError, match="empty form") as info:
+            frobenius_modular(g, p, xi)
+        assert info.value.witness is None
 
 
 class TestNonDegenerateCorrespondence:

@@ -24,7 +24,7 @@ from modclass.liealg import (
     trace_adjoint,
     whole_algebra,
 )
-from modclass.linalg import LinearSolver, Matrix
+from modclass.linalg import Matrix, solve
 
 
 def F(x):
@@ -357,7 +357,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
     """Coadjoint action <X.gamma, Y> = -<gamma, [X, Y]> on an invariant subspace."""
     covs = [c.to_vector() for c in subspace]
     if covs:
-        solver = LinearSolver(Matrix.from_columns(covs))
+        span = Matrix.from_columns(covs)
     mats = []
     for b in p.basis:
         cols = []
@@ -367,7 +367,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
                 for j in range(g.dim)
             )
             try:
-                cols.append(solver.solve(image).vector)
+                cols.append(solve(span, image).vector)
             except ValueError as exc:
                 raise NotInvariantError((b, gamma, image)) from exc
         mats.append(Matrix.from_columns(cols) if covs else Matrix([]))

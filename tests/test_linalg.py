@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modclass.linalg import (
-    LinearSolver,
     Matrix,
     NoSolutionError,
     SingularMatrixError,
@@ -141,11 +140,11 @@ def test_solve_substitution_exact(m, raw):
     try:
         s = solve(m, b)
     except NoSolutionError:
-        with pytest.raises(NoSolutionError):
-            LinearSolver(m).solve(b)
+        # inconsistent exactly when b raises the rank
+        augmented = Matrix([list(row) + [x] for row, x in zip(m.entries, b)])
+        assert rref(augmented).rank > rref(m).rank
         return
     assert m.apply(s.vector) == tuple(b)
-    assert LinearSolver(m).solve(b) == s
 
 
 @settings(deadline=None, max_examples=60)

@@ -15,7 +15,7 @@ from modclass.liealg import (
     ce_differential,
     span_subalgebra,
 )
-from modclass.linalg import dot
+from modclass.linalg import dot, kernel_basis
 from modclass.twisted import (
     CYBE_SIGN,
     InternalDisagreementError,
@@ -300,8 +300,10 @@ class TestSparseDualTable:
 
     def test_kernel_checks_match_pairwise_route(self, affine_entry, q_entries, gg_entries):
         # with r#k = 0 the bracket [k, b] is -ad*_(r#b) k, so a closed
-        # carrier makes the kernel an abelian ideal whatever the residual;
-        # the two routes must agree on which inputs pass
+        # carrier makes the kernel an abelian ideal whatever the residual:
+        # the pairwise oracle finds an abelian ideal on every perturbed
+        # structure whose carrier is closed, and carrier_and_kernel rejects
+        # exactly the others
         bases = [affine_entry.structure, q_entries[3].structure, gg_entries[3].structure]
         verdicts = set()
         for st in perturbed_structures(bases, seed=79, count=40):
@@ -318,15 +320,20 @@ class TestSparseDualTable:
         assert verdicts == {"not closed", None}
 
     @pytest.mark.parametrize(
-        "pair, entry, failure",
+        "pair, entry, hom_fails",
         [
-            # [e12*, e11*] gains an e11 component, which pairs with the carrier
-            (("e11", "e12"), {"e11": 1}, "ideal"),
-            # [e12*, e21*] = e12* stays in the kernel but is not zero
-            (("e12", "e21"), {"e12": 1}, "abelian"),
+            # [e11*, e12*] = e11* instead of e12*: r# stops being a
+            # homomorphism on that pair, and dual Jacobi fails as well
+            (("e11", "e12"), {"e11": 1}, True),
+            # [e12*, e21*] = e12* instead of 0: r# kills both sides, so only
+            # the dual Jacobi identity sees it
+            (("e12", "e21"), {"e12": 1}, False),
         ],
+        ids=["sharp-homomorphism", "dual-jacobi"],
     )
-    def test_kernel_checks_read_the_table(self, affine_entry, pair, entry, failure):
+    def test_corrupted_table_fails_verify_checks(self, affine_entry, pair, entry, hom_fails):
+        # the checks that ``verify`` runs after carrier_and_kernel read the
+        # table, so a corrupted entry surfaces there
         base = affine_entry.structure
         g = base.g
         st = TwistedTriangularStructure(g, base.r, base.psi)
@@ -334,8 +341,9 @@ class TestSparseDualTable:
         key = tuple(g.index(lab) for lab in pair)
         table[key] = {g.index(lab): F(c) for lab, c in entry.items()}
         object.__setattr__(st, "_dual_table", table)
-        with pytest.raises(StructureInvariantError, match=failure):
-            carrier_and_kernel(st)
+        witness = Multivector(g.dim, 2, {key: F(1)}) if hom_fails else None
+        assert sharp_homomorphism_residuals(st) == witness
+        assert not dual_lie_algebra(st, check=False).check_jacobi().ok
 
 
 class TestDualLieAlgebra:
@@ -377,11 +385,26 @@ class TestCarrierAndKernel:
         entry = q_entries[n]
         p, kernel = carrier_and_kernel(entry.structure)
         assert p.basis == entry.subalgebra.basis
-        assert kernel == annihilator(entry.g, p)
+        assert kernel == [Cochain.from_covector(w) for w in kernel_basis(entry.structure.sharp)]
 
-    def test_kernel_is_abelian_ideal(self, q_entries):
-        st = q_entries[3].structure
-        _, kernel = carrier_and_kernel(st)
+    def test_kernel_is_null_space_of_sharp(self, affine_entry, gg_entries):
+        # ann(carrier) is computed from the carrier basis, the null space
+        # from r# itself; their canonical bases agree
+        structures = [affine_entry.structure]
+        structures += [gg_entries[n].structure for n in (2, 3, 4)]
+        rng = random.Random(607)
+        structures += [linearize(*make_random_linearize_input(rng)) for _ in range(10)]
+        for st in structures:
+            _, kernel = carrier_and_kernel(st)
+            assert kernel == [Cochain.from_covector(w) for w in kernel_basis(st.sharp)]
+
+    @pytest.mark.parametrize("name", ["affine", "q2", "q3", "q4", "gg2", "gg3", "gg4"])
+    def test_kernel_is_abelian_ideal(self, name, affine_entry, q_entries, gg_entries):
+        entries = {"affine": affine_entry}
+        entries.update({f"q{n}": e for n, e in q_entries.items()})
+        entries.update({f"gg{n}": e for n, e in gg_entries.items()})
+        st = entries[name].structure
+        carrier, kernel = carrier_and_kernel(st)
         g = st.g
         for k in kernel:
             for other in kernel:
@@ -389,7 +412,7 @@ class TestCarrierAndKernel:
             for b in range(g.dim):
                 w = dual_bracket(st, k, Cochain.basis(g.dim, b)).to_vector()
                 # w must annihilate the carrier, i.e. stay inside the kernel
-                for basis_vec in carrier_and_kernel(st)[0].basis:
+                for basis_vec in carrier.basis:
                     assert dot(w, basis_vec) == 0
 
 
