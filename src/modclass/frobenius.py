@@ -114,16 +114,20 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
     except SingularMatrixError:
         witness = p.from_coords(kernel_basis(gram)[0])
         raise DegenerateFormError("2-cochain is degenerate on the subalgebra", witness)
-    out = Multivector.zero(p.parent.dim, 2)
-    basis_mv = [
-        Multivector(p.parent.dim, 1, {(i,): c for i, c in enumerate(b) if c != 0})
-        for b in p.basis
-    ]
+    # r = sum over s < t of -coeff[s, t] b_s ^ b_t, summed into one dict
+    support = [[(i, c) for i, c in enumerate(b) if c != 0] for b in p.basis]
+    acc: dict[tuple[int, int], Fraction] = {}
     for s, t in itertools.combinations(range(p.dim), 2):
         c = -coeff[s, t]
-        if c != 0:
-            out = out + c * basis_mv[s].wedge(basis_mv[t])
-    return out
+        if c == 0:
+            continue
+        for i, bi in support[s]:
+            for j, bj in support[t]:
+                if i < j:
+                    acc[(i, j)] = acc.get((i, j), 0) + c * bi * bj
+                elif j < i:
+                    acc[(j, i)] = acc.get((j, i), 0) - c * bi * bj
+    return Multivector(p.parent.dim, 2, acc)
 
 
 def invert_bivector(p: Subalgebra, r: Multivector) -> Cochain:

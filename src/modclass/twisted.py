@@ -34,9 +34,9 @@ from .liealg import (
     _sort_with_sign,
     annihilator,
     ce_differential,
+    closed_subalgebra,
     coadjoint_character,
     quotient_character,
-    span_subalgebra,
     trace_adjoint,
 )
 from .linalg import Matrix, Vector, dot, rref
@@ -131,17 +131,21 @@ def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multi
         raise ValueError("r must be a bivector on the algebra")
     # row i of the r# matrix, seen as a vector on the dual side, is the
     # pullback of the i-th basis covector along r#; the matrix is skew, so
-    # that row is minus column i
-    rows = [
-        Multivector(g.dim, 1, {(a,): -c for a, c in col.items()})
-        for col in _sharp_columns(r)
-    ]
-    out = Multivector.zero(g.dim, 3)
+    # that row is minus column i.  Each term c e_i* ^ e_j* ^ e_k* of psi
+    # pulls back to c row_i ^ row_j ^ row_k, summed into one dict.
+    rows = [{a: -v for a, v in col.items()} for col in _sharp_columns(r)]
+    acc: dict[tuple[int, ...], Fraction] = {}
     for (i, j, k), c in psi.terms.items():
-        wedge = rows[i].wedge(rows[j]).wedge(rows[k])
-        if not wedge.is_zero():
-            out = out + c * wedge
-    return out
+        for a, xa in rows[i].items():
+            for b, yb in rows[j].items():
+                if a == b:
+                    continue
+                cxy = c * xa * yb
+                for d, zd in rows[k].items():
+                    idx, sign = _sort_with_sign((a, b, d))
+                    if sign:
+                        acc[idx] = acc.get(idx, 0) + sign * cxy * zd
+    return Multivector(g.dim, 3, acc)
 
 
 @dataclass(frozen=True)
@@ -380,8 +384,8 @@ def carrier_and_kernel(
     if structure._carrier is not None:
         return structure._carrier, structure._kernel
     g = structure.g
-    reduced, _, rank = rref(structure.sharp)
-    carrier = span_subalgebra(g, [reduced.row(i) for i in range(rank)])
+    reduced, pivots, rank = rref(structure.sharp)
+    carrier = closed_subalgebra(g, [reduced.row(i) for i in range(rank)], pivots)
     kernel = annihilator(g, carrier)
     object.__setattr__(structure, "_carrier", carrier)
     object.__setattr__(structure, "_kernel", kernel)

@@ -10,6 +10,7 @@ from modclass.frobenius import (
     DegenerateFormError,
     FrobeniusCheck,
     NotFrobeniusError,
+    _gram,
     frobenius_modular,
     invert_bivector,
     invert_cochain,
@@ -26,6 +27,7 @@ from modclass.liealg import (
     span_subalgebra,
     whole_algebra,
 )
+from modclass.linalg import invert
 from modclass.twisted import (
     TwistedTriangularStructure,
     carrier_and_kernel,
@@ -96,7 +98,33 @@ class TestIsFrobenius:
         assert check.ok and bool(check)
 
 
+def invert_cochain_by_wedges(p, mu):
+    """Oracle: the bivector as a sum of Multivector wedges of carrier basis vectors."""
+    coeff = invert(_gram(p, mu))
+    basis = [Multivector(p.parent.dim, 1, {(i,): c for i, c in enumerate(b)}) for b in p.basis]
+    out = Multivector.zero(p.parent.dim, 2)
+    for s, t in itertools.combinations(range(p.dim), 2):
+        out = out + -coeff[s, t] * basis[s].wedge(basis[t])
+    return out
+
+
 class TestInvertCochain:
+    def test_matches_wedge_sum(self, affine_entry, q_entries):
+        cases = [
+            (e.subalgebra, e.subalgebra.restrict_cochain(e.mu))
+            for e in (affine_entry, *q_entries.values())
+        ]
+        rng = random.Random(808)
+        for _ in range(20):
+            _, p, mu_g = make_random_linearize_input(rng)
+            cases.append((p, p.restrict_cochain(mu_g)))
+        # a carrier whose canonical basis is not made of unit vectors
+        g = LieAlgebra(["a", "b", "c", "d"], {})
+        p = span_subalgebra(g, [(1, 1, 0, 0), (0, Fraction(1, 3), 1, 2)])
+        cases.append((p, Cochain(2, 2, {(0, 1): Fraction(-3, 2)})))
+        for p, mu in cases:
+            assert invert_cochain(p, mu) == invert_cochain_by_wedges(p, mu)
+
     def test_two_dim_standard_form(self):
         g = LieAlgebra(["a", "b"], {(0, 1): {1: 1}})
         p = whole_algebra(g)

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import heisenberg, make_random_linearize_input, random_cochain, solvable4
-from modclass.catalog import affine_algebra, gl, q_subalgebra
+from modclass.catalog import affine_algebra, gl, q_subalgebra, sl
+from modclass.frobenius import linearize
 from modclass.liealg import (
     Cochain,
+    JacobiReport,
     JacobiViolationError,
     LieAlgebra,
     Multivector,
@@ -24,7 +27,8 @@ from modclass.liealg import (
     trace_adjoint,
     whole_algebra,
 )
-from modclass.linalg import Matrix, solve
+from modclass.linalg import Matrix, kernel_basis, solve
+from modclass.twisted import dual_lie_algebra
 
 
 def F(x):
@@ -81,6 +85,108 @@ class TestJacobi:
         )
         report = check_jacobi(g)
         assert not report.ok and report.triple == (0, 1, 2)
+
+
+def jacobi_by_triples(g):
+    """Oracle: the jacobiator of every basis triple in order, first failure reported."""
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        res = g.jacobiator(i, j, k)
+        if any(c != 0 for c in res):
+            return JacobiReport(False, (i, j, k), res)
+    return JacobiReport(True)
+
+
+def failing_triples(g):
+    return sum(
+        any(g.jacobiator(*t)) for t in itertools.combinations(range(g.dim), 3)
+    )
+
+
+def perturbed_table(rng, g):
+    """g's bracket table with one to three entries changed to small rationals."""
+    table = {key: dict(entry) for key, entry in g.table.items()}
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.sample(range(g.dim), 2))
+        k = rng.randrange(g.dim)
+        table.setdefault((i, j), {})[k] = rng.choice(
+            [F(0), F(1), F(-1), F(2), Fraction(1, 3), Fraction(-3, 2)]
+        )
+    return LieAlgebra(g.labels, table, check=False)
+
+
+@st.composite
+def sparse_tables(draw):
+    dim = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(dim), 2))
+    coeffs = st.sampled_from([F(1), F(-1), F(2), Fraction(1, 3), Fraction(-3, 2), Fraction(5, 7)])
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    table = {
+        key: draw(st.dictionaries(st.integers(0, dim - 1), coeffs, min_size=1, max_size=2))
+        for key in keys
+    }
+    return LieAlgebra([f"x{i}" for i in range(dim)], table, check=False)
+
+
+class TestJacobiAgainstOracle:
+    """check_jacobi gives the per-triple loop's report: verdict, first triple, residual."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_gl(self, n):
+        g = gl(n)
+        assert check_jacobi(g) == jacobi_by_triples(g) == JacobiReport(True)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sl(self, n):
+        g = sl(n)
+        assert check_jacobi(g) == jacobi_by_triples(g) == JacobiReport(True)
+
+    def test_affine(self):
+        g = affine_algebra()
+        assert check_jacobi(g) == jacobi_by_triples(g) == JacobiReport(True)
+
+    def test_catalog_duals(self, affine_entry, q_entries, gg_entries):
+        entries = [affine_entry, *q_entries.values(), *gg_entries.values()]
+        for entry in entries:
+            dual = dual_lie_algebra(entry.structure, check=False)
+            assert check_jacobi(dual) == jacobi_by_triples(dual) == JacobiReport(True)
+
+    def test_seeded_linearization_duals(self):
+        rng = random.Random(505)
+        for _ in range(20):
+            dual = dual_lie_algebra(linearize(*make_random_linearize_input(rng)), check=False)
+            assert check_jacobi(dual) == jacobi_by_triples(dual) == JacobiReport(True)
+
+    def test_perturbed_tables(self, gl_algebras):
+        bases = [heisenberg(), solvable4(), gl_algebras[2], gl_algebras[3], sl(3), affine_algebra()]
+        rng = random.Random(404)
+        failing = []
+        for _ in range(240):
+            g = perturbed_table(rng, rng.choice(bases))
+            report = check_jacobi(g)
+            assert report == jacobi_by_triples(g)
+            if not report.ok:
+                failing.append(failing_triples(g))
+        # most perturbations break Jacobi, many at several triples at once,
+        # so the lexicographically first witness is pinned
+        assert len(failing) >= 150
+        assert sum(count >= 3 for count in failing) >= 100
+
+    def test_witness_is_lexicographically_first(self):
+        # [x2, x3] = x1 / 3 and [x0, x1] = x3 fail at (0, 1, 2) and (0, 2, 3);
+        # the table lists the entry of the later triple first
+        g = LieAlgebra(
+            ["x0", "x1", "x2", "x3"],
+            {(2, 3): {1: Fraction(1, 3)}, (0, 1): {3: 1}},
+            check=False,
+        )
+        assert failing_triples(g) == 2
+        assert check_jacobi(g) == jacobi_by_triples(g)
+        assert check_jacobi(g) == JacobiReport(False, (0, 1, 2), (0, Fraction(-1, 3), 0, 0))
+
+    @settings(deadline=None, max_examples=200)
+    @given(g=sparse_tables())
+    def test_random_sparse_tables(self, g):
+        assert check_jacobi(g) == jacobi_by_triples(g)
 
 
 class TestWedge:
@@ -287,6 +393,22 @@ class TestAnnihilator:
         g = gl_algebras[3]
         p = q_subalgebra(g, 3)
         assert len(annihilator(g, p)) + p.dim == g.dim
+
+    def test_is_kernel_basis_of_the_carrier_rows(self):
+        # the closed form read from the rref basis is the null space
+        # kernel_basis computes by a fresh elimination
+        g = LieAlgebra([f"x{i}" for i in range(6)], {})
+        rng = random.Random(909)
+        for _ in range(30):
+            vectors = [
+                [rng.choice([F(0), F(0), F(1), F(-2), Fraction(1, 3)]) for _ in range(6)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            p = span_subalgebra(g, vectors)
+            expected = kernel_basis(Matrix(p.basis)) if p.dim else [
+                g.basis_vector(i) for i in range(6)
+            ]
+            assert [c.to_vector() for c in annihilator(g, p)] == expected
 
 
 # ---------------------------------------------------------------------------

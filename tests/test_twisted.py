@@ -67,6 +67,20 @@ def psi_pullback_direct(g, r, psi):
     return Multivector(g.dim, 3, terms)
 
 
+def psi_pullback_by_wedges(g, r, psi):
+    """Oracle: the pullback as a sum of Multivector wedges, one per term of psi."""
+    sharp = r_sharp_matrix(g, r)
+    # row i of r#, the pullback of e_i*, is minus column i
+    rows = [
+        Multivector(g.dim, 1, {(a,): -c for a, c in enumerate(sharp.column(i))})
+        for i in range(g.dim)
+    ]
+    out = Multivector.zero(g.dim, 3)
+    for (i, j, k), c in psi.terms.items():
+        out = out + c * rows[i].wedge(rows[j]).wedge(rows[k])
+    return out
+
+
 class TestRSharp:
     def test_zero_bivector(self, gl_algebras):
         g = gl_algebras[2]
@@ -128,6 +142,42 @@ class TestCybeOracle:
                 assert psi_pullback_trivector(g, r, psi) == psi_pullback_direct(
                     g, r, psi
                 )
+
+
+class TestPullbackAgainstWedgeSum:
+    """psi_pullback_trivector equals the per-term wedge sum."""
+
+    @staticmethod
+    def assert_pullback_matches(st):
+        assert psi_pullback_trivector(st.g, st.r, st.psi) == psi_pullback_by_wedges(
+            st.g, st.r, st.psi
+        )
+
+    def test_affine(self, affine_entry):
+        self.assert_pullback_matches(affine_entry.structure)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_q_family(self, n, q_entries):
+        self.assert_pullback_matches(q_entries[n].structure)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gg_family(self, n, gg_entries):
+        self.assert_pullback_matches(gg_entries[n].structure)
+
+    def test_seeded_linearizations(self):
+        rng = random.Random(707)
+        for _ in range(20):
+            self.assert_pullback_matches(linearize(*make_random_linearize_input(rng)))
+
+    def test_nonzero_residual(self, affine_entry, q_entries, gg_entries):
+        bases = [
+            affine_entry.structure,
+            q_entries[2].structure,
+            q_entries[3].structure,
+            gg_entries[3].structure,
+        ]
+        for st in perturbed_structures(bases, seed=78, count=12):
+            self.assert_pullback_matches(st)
 
 
 class TestVerify:
