@@ -10,7 +10,6 @@ minus the identity on the subalgebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from .liealg import (
     Cochain,
@@ -74,30 +73,6 @@ def mu_from_xi(p: Subalgebra, xi: Cochain) -> Cochain:
     if xi.degree != 1 or xi.dim != p.dim:
         raise ValueError("expected a 1-cochain on the subalgebra")
     return ce_differential(p.as_lie_algebra(), xi)
-
-
-@dataclass(frozen=True)
-class FrobeniusCheck:
-    ok: bool
-    kernel_witness: Vector | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_frobenius(p: Subalgebra, xi: Cochain) -> FrobeniusCheck:
-    """Whether xi([.,.]) is non-degenerate; a kernel vector witnesses failure.
-
-    The empty form on the zero subalgebra counts as degenerate, as in
-    ``invert_cochain``; it has no witness.
-    """
-    if p.dim == 0:
-        return FrobeniusCheck(False)
-    gram = _gram(p, mu_from_xi(p, xi))
-    null = kernel_basis(gram)
-    if null:
-        return FrobeniusCheck(False, p.from_coords(null[0]))
-    return FrobeniusCheck(True)
 
 
 def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:

@@ -26,10 +26,18 @@ that no nonzero product reaches are never visited.  The sums run on
 Python ints, over the table scaled by the lcm D of its denominators, and
 since J(D c) = D^2 J(c) they vanish exactly where the rational ones do.
 
+Vectors inside this module and ``twisted`` are ``SparseVec`` dicts that
+never store a zero: ``LieAlgebra.bracket`` takes and returns them, and a
+``Subalgebra`` keeps sparse rows of its rref basis.  Dense ``Vector``
+tuples appear only at the public boundary (``Subalgebra.basis``,
+``basis_vector``, ``from_coords`` and error witnesses).  The closure check
+of a subalgebra brackets each pair of basis rows once and keeps the
+resulting structure constants, so ``as_lie_algebra`` never brackets again.
+
 A subalgebra p acts on g/p and, by the coadjoint action, on the
 annihilator ann(p).  Only the characters (traces) of these two actions
 enter the modular class, so they are computed as traces straight from the
-bracket table (``quotient_character``, ``coadjoint_character``) and no
+bracket tables (``quotient_character``, ``coadjoint_character``) and no
 action matrix is formed.  The two are dual, so the characters are
 opposite; the computation of the modular class uses that as a cross-check.
 """
@@ -38,20 +46,28 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (
-    Matrix,
-    Vector,
-    dot,
-    rat,
-    rref,
-    unit_vector,
-)
+from .linalg import Matrix, Vector, rat, rref, unit_vector
 
 SparseVec = dict[int, Fraction]
+
+
+def dense(v: SparseVec, n: int) -> Vector:
+    """The dense tuple of a sparse vector of length n."""
+    return tuple(v.get(k, Fraction(0)) for k in range(n))
+
+
+def sparse(x: Sequence[Fraction]) -> SparseVec:
+    """The nonzero entries of a dense vector."""
+    return {k: c for k, c in enumerate(x) if c}
+
+
+def _denominator_lcm(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(c.denominator for c in values))
 
 
 class JacobiViolationError(ValueError):
@@ -170,27 +186,19 @@ class LieAlgebra:
             object.__setattr__(self, "_adj", [tuple(a) for a in adj])
         return self._adj
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector dimension mismatch")
+    def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
+        """[x, y] of two sparse vectors; the result stores no zeros."""
         adj = self.adjacency()
-        out = [Fraction(0)] * self.dim
-        for i, xc in enumerate(x):
-            if xc == 0:
-                continue
+        out: SparseVec = {}
+        for i, xc in x.items():
             for j, entry, sign in adj[i]:
-                yc = y[j]
-                if yc == 0:
+                yc = y.get(j)
+                if yc is None:
                     continue
                 f = xc * yc if sign > 0 else -xc * yc
                 for k, c in entry.items():
-                    out[k] += f * c
-        return tuple(out)
-
-    def ad(self, x: Sequence[Fraction]) -> Matrix:
-        """Matrix of ad_x = [x, .] in the basis."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+                    out[k] = out.get(k, 0) + f * c
+        return {k: c for k, c in out.items() if c}
 
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
         """Sum of [[e_i,e_j],e_k] over cyclic permutations of (i,j,k)."""
@@ -220,7 +228,7 @@ class LieAlgebra:
         exactly where the rational ones do.  The witness is the
         lexicographically first failing triple, with its ``jacobiator``.
         """
-        scale = math.lcm(*(c.denominator for entry in self.table.values() for c in entry.values()))
+        scale = _denominator_lcm(c for entry in self.table.values() for c in entry.values())
         ints = {
             key: {m: c.numerator * (scale // c.denominator) for m, c in entry.items()}
             for key, entry in self.table.items()
@@ -278,14 +286,17 @@ def check_jacobi(g: LieAlgebra) -> JacobiReport:
 
 
 def trace_adjoint(g: LieAlgebra) -> "Cochain":
-    """The 1-cochain x -> Tr(ad_x); the modular cocycle of the algebra itself."""
-    values = []
-    for m in range(g.dim):
-        t = Fraction(0)
-        for j in range(g.dim):
-            t += g.bracket_basis(m, j).get(j, Fraction(0))
-        values.append(t)
-    return Cochain.from_covector(values)
+    """The 1-cochain x -> Tr(ad_x); the modular cocycle of the algebra itself.
+
+    The diagonal entry of ad_(e_m) at e_j is the e_j-coefficient of
+    [e_m, e_j], read from the adjacency of m.
+    """
+    adj = g.adjacency()
+    return Cochain(
+        g.dim,
+        1,
+        {(m,): sum(sign * entry.get(j, 0) for j, entry, sign in adj[m]) for m in range(g.dim)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,25 +536,37 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
         raise ValueError("cochain dimension does not match the algebra")
     if c.degree == 0:
         return Cochain.zero(g.dim, 1)
-    d1: dict[int, list[tuple[int, int, Fraction]]] = {m: [] for m in range(g.dim)}
+    # the sums run on ints: the table scaled by T, the lcm of its
+    # denominators, and the terms of c grouped by denominator q, one
+    # accumulator of numerators per q, divided by q T at the end.  Catalog
+    # and generated cochains have one or two denominators; a cochain whose
+    # terms all have distinct long ones costs what a Fraction sum would.
+    tscale = _denominator_lcm(w for entry in g.table.values() for w in entry.values())
+    d1: list[list[tuple[int, int, int]]] = [[] for _ in range(g.dim)]
     for (i, j), entry in g.table.items():
-        for m, coeff in entry.items():
-            d1[m].append((i, j, coeff))
-    acc: dict[tuple[int, ...], Fraction] = {}
+        for m, w in entry.items():
+            d1[m].append((i, j, w.numerator * (tscale // w.denominator)))
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
     for idx, coeff in c.terms.items():
+        acc = groups.setdefault(coeff.denominator, {})
         for t, m in enumerate(idx):
             rest = idx[:t] + idx[t + 1 :]
-            slot_sign = -1 if t % 2 else 1
+            f = -coeff.numerator if t % 2 else coeff.numerator
             for i, j, w in d1[m]:
-                sidx, sign = _sort_with_sign((i, j) + rest)
-                if sign == 0:
+                # merge i < j into the sorted rest; each of them passes the
+                # entries of rest below it, one transposition each
+                a = bisect_left(rest, i)
+                b = bisect_left(rest, j)
+                if (a < len(rest) and rest[a] == i) or (b < len(rest) and rest[b] == j):
                     continue
-                new = acc.get(sidx, Fraction(0)) + slot_sign * sign * w * coeff
-                if new == 0:
-                    acc.pop(sidx, None)
-                else:
-                    acc[sidx] = new
-    return Cochain(g.dim, c.degree + 1, acc)
+                key = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
+                acc[key] = acc.get(key, 0) + (-f * w if (a + b) % 2 else f * w)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for q, acc in groups.items():
+        for key, v in acc.items():
+            if v:
+                out[key] = out.get(key, 0) + Fraction(v, q * tscale)
+    return Cochain(g.dim, c.degree + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +578,22 @@ class Subalgebra:
 
     ``basis[s]`` is 1 at its pivot coordinate ``pivots[s]`` and 0 at the
     other pivots; the remaining coordinates, ``complement``, index the
-    canonical complement, spanned by their unit vectors.
+    canonical complement, spanned by their unit vectors.  ``rows`` holds the
+    same basis as sparse vectors.
     """
 
-    __slots__ = ("parent", "basis", "pivots", "complement", "_algebra")
+    __slots__ = ("parent", "basis", "rows", "pivots", "complement", "_slot", "_algebra")
 
     def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], pivots: Sequence[int]):
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
+        object.__setattr__(self, "rows", tuple(sparse(v) for v in self.basis))
         object.__setattr__(self, "pivots", tuple(pivots))
+        pivot_set = set(pivots)
         object.__setattr__(
-            self,
-            "complement",
-            tuple(i for i in range(parent.dim) if i not in set(pivots)),
+            self, "complement", tuple(i for i in range(parent.dim) if i not in pivot_set)
         )
+        object.__setattr__(self, "_slot", {p: s for s, p in enumerate(self.pivots)})
         object.__setattr__(self, "_algebra", None)
 
     def __setattr__(self, name, value):
@@ -578,14 +603,18 @@ class Subalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coordinates of v in the canonical basis, or None if outside."""
-        coords = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                residual = [r - c * x for r, x in zip(residual, b)]
-        if any(r != 0 for r in residual):
+    def coords_of(self, v: SparseVec) -> SparseVec | None:
+        """Sparse coordinates of v in the canonical basis, or None if outside.
+
+        The coordinate at b_s is v's entry at the pivot p_s; only the rows
+        with a nonzero coordinate are subtracted from v.
+        """
+        coords = {self._slot[k]: c for k, c in v.items() if k in self._slot}
+        residual = dict(v)
+        for s, c in coords.items():
+            for k, x in self.rows[s].items():
+                residual[k] = residual.get(k, 0) - c * x
+        if any(residual.values()):
             return None
         return coords
 
@@ -607,16 +636,23 @@ class Subalgebra:
         return tuple(out)
 
     def as_lie_algebra(self) -> LieAlgebra:
-        """The subalgebra as an abstract Lie algebra in its own basis."""
+        """The subalgebra as an abstract Lie algebra in its own basis.
+
+        Its table comes from the one pass that brackets each pair of basis
+        rows, checks that the bracket lies in the span and keeps its
+        coordinates; a pair whose bracket leaves the span raises
+        NotClosedError with the first such pair, densely.
+        """
         if self._algebra is None:
             table = {}
             for s, t in itertools.combinations(range(self.dim), 2):
-                w = self.parent.bracket(self.basis[s], self.basis[t])
+                w = self.parent.bracket(self.rows[s], self.rows[t])
                 coords = self.coords_of(w)
                 if coords is None:
+                    w = dense(w, self.parent.dim)
                     raise NotClosedError((self.basis[s], self.basis[t], w))
-                if any(c != 0 for c in coords):
-                    table[(s, t)] = {k: c for k, c in enumerate(coords) if c != 0}
+                if coords:
+                    table[(s, t)] = coords
             object.__setattr__(
                 self, "_algebra", LieAlgebra(self.labels(), table, check=False)
             )
@@ -658,12 +694,12 @@ def span_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence[Fraction]]) -> Sub
 def closed_subalgebra(
     g: LieAlgebra, basis: Sequence[Vector], pivots: Sequence[int]
 ) -> Subalgebra:
-    """The subalgebra with a basis already in rref, after verifying bracket closure."""
+    """The subalgebra with a basis already in rref, after verifying bracket closure.
+
+    The closure check builds the subalgebra's own table (``as_lie_algebra``).
+    """
     sub = Subalgebra(g, basis, pivots)
-    for s, t in itertools.combinations(range(sub.dim), 2):
-        w = g.bracket(sub.basis[s], sub.basis[t])
-        if sub.coords_of(w) is None:
-            raise NotClosedError((sub.basis[s], sub.basis[t], w))
+    sub.as_lie_algebra()
     return sub
 
 
@@ -681,8 +717,9 @@ def annihilator(g: LieAlgebra, p: Subalgebra) -> list[Cochain]:
     out = []
     for f in p.complement:
         terms = {(f,): Fraction(1)}
-        for pivot, b in zip(p.pivots, p.basis):
-            terms[(pivot,)] = -b[f]
+        for pivot, row in zip(p.pivots, p.rows):
+            if f in row:
+                terms[(pivot,)] = -row[f]
         out.append(Cochain(g.dim, 1, terms))
     return out
 
@@ -692,15 +729,15 @@ def quotient_character(g: LieAlgebra, p: Subalgebra) -> Cochain:
 
     The trace of that action is Tr_g(ad_X) - Tr_p(ad_X|p).  Each canonical
     basis vector b_t is 1 at its pivot p_t and 0 at the other pivots, so the
-    diagonal entry of ad_X|p at b_t is the p_t-coordinate of [X, b_t].
+    diagonal entry of ad_X|p at b_t is the p_t-coordinate of [X, b_t], its
+    b_t-coordinate in the table of p: Tr_p is ``trace_adjoint`` of p.
     """
-    mod_g = trace_adjoint(g).to_vector()
+    mod_g = trace_adjoint(g).terms
+    mod_p = trace_adjoint(p.as_lie_algebra()).terms
     values = []
-    for b in p.basis:
-        value = dot(mod_g, b)
-        for pivot, c in zip(p.pivots, p.basis):
-            value -= g.bracket(b, c)[pivot]
-        values.append(value)
+    for t, row in enumerate(p.rows):
+        value = sum((mod_g.get((k,), 0) * c for k, c in row.items()), Fraction(0))
+        values.append(value - mod_p.get((t,), 0))
     return Cochain.from_covector(values)
 
 
@@ -713,14 +750,19 @@ def coadjoint_character(g: LieAlgebra, p: Subalgebra, ann: Sequence[Cochain]) ->
     is then its value at e_(q_u), so the trace is
     X -> -(sum over u of ann[u]([X, e_(q_u)])).
     """
-    covs = [gamma.to_vector() for gamma in ann]
-    codim = len(p.complement)
-    identity = [[int(u == v) for v in range(codim)] for u in range(codim)]
-    if [[cov[q] for q in p.complement] for cov in covs] != identity:
+    covs = [{k: c for (k,), c in gamma.terms.items()} for gamma in ann]
+    complement = set(p.complement)
+    if len(covs) != len(complement) or any(
+        {k: c for k, c in cov.items() if k in complement} != {q: 1}
+        for cov, q in zip(covs, p.complement)
+    ):
         raise ValueError("expected the canonical annihilator basis of the subalgebra")
-    units = [g.basis_vector(q) for q in p.complement]
-    values = [
-        -sum((dot(cov, g.bracket(b, e)) for cov, e in zip(covs, units)), Fraction(0))
-        for b in p.basis
-    ]
+    values = []
+    for row in p.rows:
+        value = Fraction(0)
+        for cov, q in zip(covs, p.complement):
+            for k, c in g.bracket(row, {q: Fraction(1)}).items():
+                if k in cov:
+                    value -= cov[k] * c
+        values.append(value)
     return Cochain.from_covector(values)

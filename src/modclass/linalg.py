@@ -5,10 +5,11 @@ anywhere, so equality checks throughout the package are exact.  Matrices
 are immutable and small (dimensions up to ~100), so plain fraction-reducing
 Gaussian elimination is used instead of fraction-free variants.
 
-Products skip zeros: ``dot`` multiplies only the pairs of entries that are
-both nonzero, and ``Matrix.apply`` and ``Matrix.__matmul__`` go through
-it.  The vectors and matrices of this package are mostly zeros, and since
-the arithmetic is exact the skipped terms cannot change any result.
+``Matrix`` holds the inputs and results of the row reductions (``rref``,
+``kernel_basis``, ``solve``, ``invert``) on small Gram and r# matrices;
+it has no matrix products or sums.  ``dot`` multiplies only the pairs of
+entries that are both nonzero.  The rest of the package works on sparse
+vectors (see ``liealg``).
 """
 
 from __future__ import annotations
@@ -55,18 +56,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def add_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def sub_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def scale_vector(c: Fraction, x: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in x)
-
-
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     """Exact inner product over the pairs of entries that are both nonzero."""
     total = Fraction(0)
@@ -97,14 +86,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "Matrix":
         if not columns:
             return cls([])
@@ -129,29 +110,6 @@ class Matrix:
         if len(x) != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} vs {len(x)}")
         return tuple(dot(r, x) for r in self.entries)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        cols = [other.column(j) for j in range(other.cols)]
-        return Matrix([[dot(r, c) for c in cols] for r in self.entries])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [add_vectors(r, s) for r, s in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [sub_vectors(r, s) for r, s in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([scale_vector(Fraction(-1), r) for r in self.entries])
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

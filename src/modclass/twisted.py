@@ -13,10 +13,16 @@ makes the linearization constructor, the Yang-Baxter check and the dual
 Lie algebra mutually consistent.
 
 The map r# is kept once, as sparse columns (``sharp_columns``); its dense
-matrix is derived from them.  The modular class is the image under r#,
-restricted to the carrier p = im r#, of the character of p acting on g/p.
-That character and the character of p acting on the kernel ann(p) are
-computed as traces (see ``liealg``) and must be opposite.
+matrix is derived from them and used only for the one row reduction that
+finds the carrier.  The modular class is the image under r#, restricted to
+the carrier p = im r#, of the character of p acting on g/p.  That
+character and the character of p acting on the kernel ann(p) are computed
+as traces (see ``liealg``) and must be opposite.
+
+As in ``liealg``, every stage after verification works on sparse vectors:
+the r# columns, the carrier rows and the table the closure check built for
+the carrier.  Dense tuples appear only in results (the representative, the
+relation residuals).
 """
 
 from __future__ import annotations
@@ -24,22 +30,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .liealg import (
     Cochain,
     LieAlgebra,
     Multivector,
+    SparseVec,
     Subalgebra,
+    _denominator_lcm,
     _sort_with_sign,
     annihilator,
     ce_differential,
     closed_subalgebra,
     coadjoint_character,
+    dense,
     quotient_character,
+    sparse,
     trace_adjoint,
 )
-from .linalg import Matrix, Vector, dot, rref
+from .linalg import Matrix, Vector, rref
 
 #: Global sign relating T(r) to the pullback of psi, frozen once.
 CYBE_SIGN = Fraction(-1)
@@ -97,30 +106,58 @@ def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
     2 T(r) = sum over pairs (u, v) of c_u c_v (
         [x_u, x_v] ^ y_u ^ y_v + [y_u, y_v] ^ x_u ^ x_v
         - [x_u, y_v] ^ y_u ^ x_v - [y_u, x_v] ^ x_u ^ y_v).
+    The (u, v) and (v, u) terms are equal, so the sum visits u <= v and
+    weights u < v by 2.  It runs on ints: the table scaled by D, the lcm of
+    its denominators, and one accumulator of numerators per denominator
+    q of c_u c_v, divided by 2 q D at the end, as in ``ce_differential``.
     """
-    acc: dict[tuple[int, ...], Fraction] = {}
-    half = Fraction(1, 2)
+    tscale = _denominator_lcm(c for entry in g.table.values() for c in entry.values())
+    table = {
+        key: {m: c.numerator * (tscale // c.denominator) for m, c in entry.items()}
+        for key, entry in g.table.items()
+    }
     terms = list(r.terms.items())
+    groups: dict[int, dict[tuple[int, int, int], int]] = {}
 
-    def put(bracket: dict[int, Fraction], a: int, b: int, scale: Fraction):
-        for m, cm in bracket.items():
-            sidx, sign = _sort_with_sign((m, a, b))
-            if sign == 0:
-                continue
-            new = acc.get(sidx, Fraction(0)) + sign * scale * cm
-            if new == 0:
-                acc.pop(sidx, None)
+    def put(acc, i: int, j: int, a: int, b: int, f: int):
+        # add f [e_i, e_j] ^ e_a ^ e_b, sorting each index triple inline
+        if i == j or a == b:
+            return
+        if i > j:
+            i, j, f = j, i, -f
+        entry = table.get((i, j))
+        if entry is None:
+            return
+        if a > b:
+            a, b, f = b, a, -f
+        for m, cm in entry.items():
+            if m < a:
+                key, v = (m, a, b), f * cm
+            elif a < m < b:
+                key, v = (a, m, b), -f * cm
+            elif m > b:
+                key, v = (a, b, m), f * cm
             else:
-                acc[sidx] = new
+                continue
+            acc[key] = acc.get(key, 0) + v
 
-    for (xu, yu), cu in terms:
-        for (xv, yv), cv in terms:
-            s = half * cu * cv
-            put(g.bracket_basis(xu, xv), yu, yv, s)
-            put(g.bracket_basis(yu, yv), xu, xv, s)
-            put(g.bracket_basis(xu, yv), yu, xv, -s)
-            put(g.bracket_basis(yu, xv), xu, yv, -s)
-    return Multivector(g.dim, 3, acc)
+    for u, ((xu, yu), cu) in enumerate(terms):
+        for v in range(u, len(terms)):
+            (xv, yv), cv = terms[v]
+            acc = groups.setdefault(cu.denominator * cv.denominator, {})
+            s = cu.numerator * cv.numerator
+            if v != u:
+                s *= 2
+            put(acc, xu, xv, yu, yv, s)
+            put(acc, yu, yv, xu, xv, s)
+            put(acc, xu, yv, yu, xv, -s)
+            put(acc, yu, xv, xu, yv, -s)
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for q, acc in groups.items():
+        for key, v in acc.items():
+            if v:
+                out[key] = out.get(key, 0) + Fraction(v, 2 * q * tscale)
+    return Multivector(g.dim, 3, out)
 
 
 def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
@@ -248,57 +285,18 @@ class TwistedTriangularStructure:
             object.__setattr__(self, "_sharp_cols", _sharp_columns(self.r))
         return self._sharp_cols
 
-    def sharp_apply(self, alpha: Cochain | Sequence[Fraction]) -> Vector:
-        cov = alpha.to_vector() if isinstance(alpha, Cochain) else tuple(alpha)
-        if len(cov) != self.g.dim:
-            raise ValueError("covector dimension mismatch")
+    def sharp_apply(self, alpha: Cochain | SparseVec) -> SparseVec:
+        """r# of a 1-cochain or of a sparse covector, as a sparse vector."""
+        if isinstance(alpha, Cochain):
+            if alpha.degree != 1 or alpha.dim != self.g.dim:
+                raise ValueError("expected a 1-cochain on the algebra")
+            alpha = {a: c for (a,), c in alpha.terms.items()}
         cols = self.sharp_columns()
-        out = [Fraction(0)] * self.g.dim
-        for a, ca in enumerate(cov):
-            if ca == 0:
-                continue
+        out: SparseVec = {}
+        for a, ca in alpha.items():
             for k, v in cols[a].items():
-                out[k] += ca * v
-        return tuple(out)
-
-
-def dual_bracket(
-    structure: TwistedTriangularStructure,
-    alpha: Cochain,
-    beta: Cochain,
-) -> Cochain:
-    """Bracket on the dual: ad*_{r#a} b - ad*_{r#b} a + psi(r#a, r#b, .)."""
-    g = structure.g
-    if alpha.degree != 1 or beta.degree != 1 or alpha.dim != g.dim or beta.dim != g.dim:
-        raise ValueError("dual_bracket expects 1-cochains on the algebra")
-    x = structure.sharp_apply(alpha)
-    y = structure.sharp_apply(beta)
-    a = alpha.to_vector()
-    b = beta.to_vector()
-    adj = g.adjacency()
-    out = [Fraction(0)] * g.dim
-    # <ad*_X b, e_j> = -<b, [X, e_j]>, accumulated over the sparse table
-    for i, xc in enumerate(x):
-        if xc == 0:
-            continue
-        for j, entry, sign in adj[i]:
-            val = sum((c * b[k] for k, c in entry.items()), Fraction(0))
-            if val != 0:
-                out[j] -= xc * val if sign > 0 else -xc * val
-    for i, yc in enumerate(y):
-        if yc == 0:
-            continue
-        for j, entry, sign in adj[i]:
-            val = sum((c * a[k] for k, c in entry.items()), Fraction(0))
-            if val != 0:
-                out[j] += yc * val if sign > 0 else -yc * val
-    for (p, q, s), c in structure.psi.terms.items():
-        xp, xq, xs = x[p], x[q], x[s]
-        yp, yq, ys = y[p], y[q], y[s]
-        out[s] += c * (xp * yq - xq * yp)
-        out[q] -= c * (xp * ys - xs * yp)
-        out[p] += c * (xq * ys - xs * yq)
-    return Cochain.from_covector(out)
+                out[k] = out.get(k, 0) + ca * v
+        return {k: c for k, c in out.items() if c}
 
 
 # (u, v, w, sign): the orderings of a psi index triple, with their signs
@@ -308,7 +306,8 @@ _PSI_SLOTS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 2, -1), (0, 2, 1,
 def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], dict[int, Fraction]]:
     """Dual structure constants [e_a*, e_b*] for a < b, built once, sparsely.
 
-    The same bracket as ``dual_bracket``, summed straight from the images
+    The bracket ad*_x b - ad*_y a + psi(x, y, .) of the dual basis
+    covectors a = e_a*, b = e_b*, summed straight from their images
     x = r#e_a*, y = r#e_b*, the bracket table and the terms of psi:
 
     * the coadjoint part is ad*_x e_b* - ad*_y e_a*, and
@@ -396,15 +395,15 @@ def sharp_homomorphism_residuals(structure: TwistedTriangularStructure) -> Multi
     """Check that r# maps dual brackets to brackets of sharp images.
 
     Returns None when r#([a, b]*) = [r#a, r#b] for all dual basis pairs,
-    otherwise the first offending basis wedge as a witness.
+    otherwise the first offending basis wedge as a witness.  Each dual
+    table entry is pushed through the sparse r# columns and compared with
+    the sparse bracket of two columns; neither side stores a zero.
     """
     g = structure.g
     table = _dual_table(structure)
-    sharp = structure.sharp
+    cols = structure.sharp_columns()
     for a, b in itertools.combinations(range(g.dim), 2):
-        entry = table.get((a, b), {})
-        lhs = structure.sharp_apply([entry.get(k, Fraction(0)) for k in range(g.dim)])
-        if lhs != g.bracket(sharp.column(a), sharp.column(b)):
+        if structure.sharp_apply(table.get((a, b), {})) != g.bracket(cols[a], cols[b]):
             return Multivector(g.dim, 2, {(a, b): Fraction(1)})
     return None
 
@@ -419,7 +418,8 @@ def restricted_sharp(
     image does not depend on that choice; ``modular_class`` checks the
     kernel condition.
     """
-    return structure.sharp_apply(carrier.extend_cochain_by_zero(chi))
+    image = structure.sharp_apply(carrier.extend_cochain_by_zero(chi))
+    return dense(image, structure.g.dim)
 
 
 @dataclass(frozen=True)
@@ -470,20 +470,21 @@ def modular_class(structure: TwistedTriangularStructure) -> ModularClassReport:
     checks: dict[str, CrossCheck] = {
         "routes_agree": CrossCheck(True, "kernel and quotient characters are opposite"),
         "extension_independent": CrossCheck(
-            all(not any(structure.sharp_apply(k)) for k in kernel),
+            all(not structure.sharp_apply(k) for k in kernel),
             "r# vanishes on the kernel, so no choice of complement matters",
         ),
     }
     representative = restricted_sharp(structure, carrier, chi_quotient)
+    sparse_rep = sparse(representative)
 
     checks["representative_in_carrier"] = CrossCheck(
-        carrier.coords_of(representative) is not None,
+        carrier.coords_of(sparse_rep) is not None,
         "representative lies in the carrier",
     )
 
     table = _dual_table(structure)
     cocycle = all(
-        sum((c * representative[k] for k, c in entry.items()), Fraction(0)) == 0
+        sum((c * sparse_rep[k] for k, c in entry.items() if k in sparse_rep), Fraction(0)) == 0
         for entry in table.values()
     )
     checks["cocycle_on_dual"] = CrossCheck(
@@ -546,11 +547,14 @@ def relation_check(structure: TwistedTriangularStructure) -> RelationReport:
     mod_g = trace_adjoint(g).to_vector()
     dual = dual_lie_algebra(structure, check=False)
     mod_dual = trace_adjoint(dual).to_vector()
-    sharp = structure.sharp
+    cols = structure.sharp_columns()
+
+    def apply(cov: Vector, v: SparseVec) -> Fraction:
+        return sum((cov[k] * c for k, c in v.items()), Fraction(0))
 
     # (i) 2 theta = Mod(dual) - (r#)^* Mod(g); the pullback of a 1-cochain on
     # g along r# has coordinates Mod(g) applied to the columns of r#.
-    pullback = tuple(dot(mod_g, sharp.column(a)) for a in range(g.dim))
+    pullback = tuple(apply(mod_g, col) for col in cols)
     res1 = tuple(2 * t - md + pb for t, md, pb in zip(theta, mod_dual, pullback))
 
     # (ii) Mod(dual) = (restricted r#)^* (Mod p + theta_p) with theta_p the
@@ -563,15 +567,15 @@ def relation_check(structure: TwistedTriangularStructure) -> RelationReport:
         combo = tuple(m + t for m, t in zip(mod_p, theta_p))
         res2 = []
         for a in range(g.dim):
-            coords = carrier.coords_of(sharp.column(a))
+            coords = carrier.coords_of(cols[a])
             if coords is None:
                 raise StructureInvariantError("r# image left the carrier")
-            res2.append(mod_dual[a] - dot(combo, coords))
+            res2.append(mod_dual[a] - apply(combo, coords))
         res2 = tuple(res2)
         # (iii) restriction of Mod(g) to the carrier = Mod p - theta_p
         res3 = tuple(
-            dot(mod_g, b) - (m - t)
-            for b, m, t in zip(carrier.basis, mod_p, theta_p)
+            apply(mod_g, row) - (m - t)
+            for row, m, t in zip(carrier.rows, mod_p, theta_p)
         )
     else:
         res2 = tuple(mod_dual)

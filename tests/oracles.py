@@ -1,0 +1,218 @@
+"""Dense and Fraction routes that the library no longer takes, kept as oracles.
+
+Each function is the earlier library implementation of something the
+library now computes sparsely or on integers.  Tests compare the two; none
+of these runs outside the test suite.
+
+* ``dense_bracket`` and ``ad_matrix``: the bracket of two dense vectors and
+  the matrix of ad_x, against the sparse ``LieAlgebra.bracket``;
+* ``matmul``, ``mat_add``, ``mat_sub``, ``mat_neg``, ``zeros`` and
+  ``identity``: ``Matrix`` arithmetic, for the matrix-basis and
+  representation oracles;
+* ``dense_sharp_apply`` and ``dual_bracket``: r# of a covector and the
+  dual bracket of two 1-cochains, against the sparse dual table;
+* ``is_frobenius``: degeneracy of xi([., .]) by its own elimination, against
+  ``frobenius_modular``;
+* ``ce_differential_fraction`` and ``cybe_lhs_trivector_fraction``: the
+  Fraction loops through ``_sort_with_sign``, against the integer ones;
+* ``closure_table``: the structure constants of a subalgebra, bracketing
+  every pair of dense basis vectors again.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from modclass.frobenius import _gram, mu_from_xi
+from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign
+from modclass.linalg import Matrix, Vector, dot, kernel_basis
+
+
+def dense_bracket(g: LieAlgebra, x, y) -> Vector:
+    if len(x) != g.dim or len(y) != g.dim:
+        raise ValueError("vector dimension mismatch")
+    adj = g.adjacency()
+    out = [Fraction(0)] * g.dim
+    for i, xc in enumerate(x):
+        if xc == 0:
+            continue
+        for j, entry, sign in adj[i]:
+            yc = y[j]
+            if yc == 0:
+                continue
+            f = xc * yc if sign > 0 else -xc * yc
+            for k, c in entry.items():
+                out[k] += f * c
+    return tuple(out)
+
+
+def ad_matrix(g: LieAlgebra, x) -> Matrix:
+    """Matrix of ad_x = [x, .] in the basis."""
+    return Matrix.from_columns([dense_bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    cols = [b.column(j) for j in range(b.cols)]
+    return Matrix([[dot(r, c) for c in cols] for r in a.entries])
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
+
+
+def mat_neg(a: Matrix) -> Matrix:
+    return Matrix([[-x for x in r] for r in a.entries])
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return mat_add(a, mat_neg(b))
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def dense_sharp_apply(structure, alpha) -> Vector:
+    """r# of a 1-cochain or a dense covector, densely."""
+    cov = alpha.to_vector() if isinstance(alpha, Cochain) else tuple(alpha)
+    out = [Fraction(0)] * structure.g.dim
+    for a, ca in enumerate(cov):
+        if ca == 0:
+            continue
+        for k, v in structure.sharp_columns()[a].items():
+            out[k] += ca * v
+    return tuple(out)
+
+
+def dual_bracket(structure, alpha: Cochain, beta: Cochain) -> Cochain:
+    """Bracket on the dual: ad*_{r#a} b - ad*_{r#b} a + psi(r#a, r#b, .)."""
+    g = structure.g
+    if alpha.degree != 1 or beta.degree != 1 or alpha.dim != g.dim or beta.dim != g.dim:
+        raise ValueError("dual_bracket expects 1-cochains on the algebra")
+    x = dense_sharp_apply(structure, alpha)
+    y = dense_sharp_apply(structure, beta)
+    a = alpha.to_vector()
+    b = beta.to_vector()
+    adj = g.adjacency()
+    out = [Fraction(0)] * g.dim
+    # <ad*_X b, e_j> = -<b, [X, e_j]>, accumulated over the sparse table
+    for i, xc in enumerate(x):
+        if xc == 0:
+            continue
+        for j, entry, sign in adj[i]:
+            val = sum((c * b[k] for k, c in entry.items()), Fraction(0))
+            if val != 0:
+                out[j] -= xc * val if sign > 0 else -xc * val
+    for i, yc in enumerate(y):
+        if yc == 0:
+            continue
+        for j, entry, sign in adj[i]:
+            val = sum((c * a[k] for k, c in entry.items()), Fraction(0))
+            if val != 0:
+                out[j] += yc * val if sign > 0 else -yc * val
+    for (p, q, s), c in structure.psi.terms.items():
+        xp, xq, xs = x[p], x[q], x[s]
+        yp, yq, ys = y[p], y[q], y[s]
+        out[s] += c * (xp * yq - xq * yp)
+        out[q] -= c * (xp * ys - xs * yp)
+        out[p] += c * (xq * ys - xs * yq)
+    return Cochain.from_covector(out)
+
+
+@dataclass(frozen=True)
+class FrobeniusCheck:
+    ok: bool
+    kernel_witness: Vector | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def is_frobenius(p, xi: Cochain) -> FrobeniusCheck:
+    """Whether xi([.,.]) is non-degenerate; a kernel vector witnesses failure.
+
+    The empty form on the zero subalgebra counts as degenerate; it has no
+    witness.
+    """
+    if p.dim == 0:
+        return FrobeniusCheck(False)
+    null = kernel_basis(_gram(p, mu_from_xi(p, xi)))
+    if null:
+        return FrobeniusCheck(False, p.from_coords(null[0]))
+    return FrobeniusCheck(True)
+
+
+def ce_differential_fraction(g: LieAlgebra, c: Cochain) -> Cochain:
+    """The Chevalley-Eilenberg differential, summed in Fractions."""
+    if c.degree == 0:
+        return Cochain.zero(g.dim, 1)
+    d1: dict[int, list[tuple[int, int, Fraction]]] = {m: [] for m in range(g.dim)}
+    for (i, j), entry in g.table.items():
+        for m, coeff in entry.items():
+            d1[m].append((i, j, coeff))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, coeff in c.terms.items():
+        for t, m in enumerate(idx):
+            rest = idx[:t] + idx[t + 1 :]
+            slot_sign = -1 if t % 2 else 1
+            for i, j, w in d1[m]:
+                sidx, sign = _sort_with_sign((i, j) + rest)
+                if sign == 0:
+                    continue
+                new = acc.get(sidx, Fraction(0)) + slot_sign * sign * w * coeff
+                if new == 0:
+                    acc.pop(sidx, None)
+                else:
+                    acc[sidx] = new
+    return Cochain(g.dim, c.degree + 1, acc)
+
+
+def cybe_lhs_trivector_fraction(g: LieAlgebra, r: Multivector) -> Multivector:
+    """The Yang-Baxter trivector over all ordered pairs of terms, in Fractions."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    half = Fraction(1, 2)
+    terms = list(r.terms.items())
+
+    def put(bracket, a, b, scale):
+        for m, cm in bracket.items():
+            sidx, sign = _sort_with_sign((m, a, b))
+            if sign == 0:
+                continue
+            new = acc.get(sidx, Fraction(0)) + sign * scale * cm
+            if new == 0:
+                acc.pop(sidx, None)
+            else:
+                acc[sidx] = new
+
+    for (xu, yu), cu in terms:
+        for (xv, yv), cv in terms:
+            s = half * cu * cv
+            put(g.bracket_basis(xu, xv), yu, yv, s)
+            put(g.bracket_basis(yu, yv), xu, xv, s)
+            put(g.bracket_basis(xu, yv), yu, xv, -s)
+            put(g.bracket_basis(yu, xv), xu, yv, -s)
+    return Multivector(g.dim, 3, acc)
+
+
+def closure_table(p) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Structure constants of a subalgebra, one dense bracket per basis pair.
+
+    The coordinates of a vector of p are its entries at the pivots.
+    """
+    table = {}
+    for s, t in itertools.combinations(range(p.dim), 2):
+        w = dense_bracket(p.parent, p.basis[s], p.basis[t])
+        entry = {k: w[pivot] for k, pivot in enumerate(p.pivots) if w[pivot] != 0}
+        if entry:
+            table[(s, t)] = entry
+    return table

@@ -15,6 +15,7 @@ from modclass.catalog import (
 )
 from modclass.liealg import LieAlgebra, Multivector, ce_differential, check_jacobi
 from modclass.linalg import Matrix, solve
+from oracles import dense_bracket, mat_sub, matmul
 
 def F(x):
     return Fraction(x)
@@ -32,7 +33,7 @@ def matrix_basis_algebra(labels, matrices):
     basis = Matrix.from_columns(flats)
     table = {}
     for a, b in itertools.combinations(range(len(mats)), 2):
-        comm = mats[a] @ mats[b] - mats[b] @ mats[a]
+        comm = mat_sub(matmul(mats[a], mats[b]), matmul(mats[b], mats[a]))
         flat = [comm[i, j] for i in range(size) for j in range(size)]
         coords = solve(basis, flat).vector
         entry = {k: c for k, c in enumerate(coords) if c != 0}
@@ -97,9 +98,9 @@ class TestConstructors:
         g = gl_algebras[2]
         assert g.dim == 4
         assert g.labels == ("e11", "e12", "e21", "e22")
-        assert g.bracket(
-            g.basis_vector(g.index("e11")), g.basis_vector(g.index("e12"))
-        ) == g.basis_vector(g.index("e12"))
+        e11, e12 = g.index("e11"), g.index("e12")
+        assert g.bracket({e11: F(1)}, {e12: F(1)}) == {e12: 1}
+        assert dense_bracket(g, g.basis_vector(e11), g.basis_vector(e12)) == g.basis_vector(e12)
 
     def test_gl3_dim(self, gl_algebras):
         assert gl_algebras[3].dim == 9
@@ -109,9 +110,8 @@ class TestConstructors:
         assert g.dim == 3
         assert check_jacobi(g).ok
         # [h1, e12] = 2 e12
-        h = g.basis_vector(g.index("h1"))
-        e = g.basis_vector(g.index("e12"))
-        assert g.bracket(h, e) == tuple(2 * x for x in e)
+        h, e = g.index("h1"), g.index("e12")
+        assert g.bracket({h: F(1)}, {e: F(1)}) == {e: 2}
 
     def test_sl3_traceless_brackets(self):
         g = sl(3)
@@ -156,9 +156,10 @@ class TestAffineEntry:
 
 
 class TestQEntries:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_expected_values_recompute(self, n, q_entries):
-        assert q_entries[n].check_expected() == []
+        entry = q_entries[n] if n in q_entries else q_example(n)
+        assert entry.check_expected() == []
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_psi_is_coboundary_of_minus_mu(self, n, q_entries):
@@ -187,9 +188,10 @@ class TestQEntries:
 
 
 class TestGGEntries:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_expected_values_recompute(self, n, gg_entries):
-        assert gg_entries[n].check_expected() == []
+        entry = gg_entries[n] if n in gg_entries else gg_example(n)
+        assert entry.check_expected() == []
 
     def test_n2_r_matrix(self, gg_entries):
         entry = gg_entries[2]

@@ -28,37 +28,65 @@ from modclass.liealg import (
     whole_algebra,
 )
 from modclass.linalg import Matrix, kernel_basis, solve
-from modclass.twisted import dual_lie_algebra
+from modclass.twisted import carrier_and_kernel, dual_lie_algebra
+from oracles import (
+    ad_matrix,
+    ce_differential_fraction,
+    closure_table,
+    dense_bracket,
+    mat_add,
+    mat_sub,
+    matmul,
+    zeros,
+)
 
 
 def F(x):
     return Fraction(x)
 
 
+def sparse_vectors(dim):
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+    return st.dictionaries(st.integers(0, dim - 1), coeff.map(Fraction), max_size=dim)
+
+
 class TestBracket:
     def test_gl2_elementary(self, gl_algebras):
         g = gl_algebras[2]
-        x = g.basis_vector(g.index("e11"))
-        y = g.basis_vector(g.index("e12"))
-        assert g.bracket(x, y) == y
+        e11, e12 = g.index("e11"), g.index("e12")
+        assert g.bracket({e11: F(1)}, {e12: F(1)}) == {e12: 1}
 
     def test_alternating(self, gl_algebras):
         g = gl_algebras[2]
         rng = random.Random(7)
         for _ in range(20):
-            x = tuple(F(rng.randint(-5, 5)) for _ in range(4))
-            assert g.bracket(x, x) == (F(0),) * 4
+            x = {k: F(rng.randint(-5, 5)) for k in range(4)}
+            assert g.bracket(x, x) == {}
 
     def test_heisenberg_antisymmetry(self):
         g = heisenberg()
-        y = g.basis_vector(1)
-        x = g.basis_vector(0)
-        assert g.bracket(y, x) == (F(0), F(0), F(-1))
+        assert g.bracket({1: F(1)}, {0: F(1)}) == {2: -1}
 
     def test_dimension_mismatch(self):
+        # the dense oracle checks lengths; the sparse bracket has no length,
+        # and an index past the basis has no adjacency
         g = heisenberg()
         with pytest.raises(ValueError):
-            g.bracket((F(1),), (F(0), F(0), F(0)))
+            dense_bracket(g, (F(1),), (F(0), F(0), F(0)))
+        with pytest.raises(IndexError):
+            g.bracket({3: F(1)}, {0: F(1)})
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), which=st.sampled_from(["gl3", "solvable4", "affine"]))
+    def test_matches_dense_oracle(self, data, which):
+        g = {"gl3": gl(3), "solvable4": solvable4(), "affine": affine_algebra()}[which]
+        x = data.draw(sparse_vectors(g.dim))
+        y = data.draw(sparse_vectors(g.dim))
+        w = g.bracket(x, y)
+        assert all(c != 0 for c in w.values())
+        dx = tuple(x.get(k, F(0)) for k in range(g.dim))
+        dy = tuple(y.get(k, F(0)) for k in range(g.dim))
+        assert tuple(w.get(k, F(0)) for k in range(g.dim)) == dense_bracket(g, dx, dy)
 
 
 class TestJacobi:
@@ -268,7 +296,43 @@ def d_direct(g, c):
     return Cochain(g.dim, c.degree + 1, terms)
 
 
+def random_rational_cochain(rng, dim, degree, density=0.5):
+    # coefficients over a few small denominators and a few longer ones, so
+    # the per-denominator accumulators of ce_differential see both
+    dens = [1, 2, 3, 6, 7, 10**30 + 57, 10**31 + 7]
+    terms = {}
+    for idx in itertools.combinations(range(dim), degree):
+        if rng.random() < density:
+            c = Fraction(rng.randint(-9, 9), rng.choice(dens))
+            if c:
+                terms[idx] = c
+    return Cochain(dim, degree, terms)
+
+
 class TestDifferential:
+    @pytest.mark.parametrize("name", ["gl3", "gl4", "gl5", "sl4"])
+    def test_matches_fraction_oracle(self, name):
+        g = {"gl3": gl(3), "gl4": gl(4), "gl5": gl(5), "sl4": sl(4)}[name]
+        rng = random.Random(sum(map(ord, name)))
+        for degree in (1, 2, 3):
+            for _ in range(3):
+                c = random_rational_cochain(rng, g.dim, degree, density=0.3 / degree)
+                assert ce_differential(g, c) == ce_differential_fraction(g, c)
+
+    def test_rational_table_matches_fraction_oracle(self):
+        # a table with denominators: gl(3) in a rescaled basis
+        g0 = gl(3)
+        rng = random.Random(5)
+        scale = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(g0.dim)]
+        table = {
+            (i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in entry.items()}
+            for (i, j), entry in g0.table.items()
+        }
+        g = LieAlgebra(g0.labels, table)
+        for degree in (1, 2, 3):
+            c = random_rational_cochain(rng, g.dim, degree, density=0.2)
+            assert ce_differential(g, c) == ce_differential_fraction(g, c)
+
     def test_degree_zero(self):
         g = heisenberg()
         assert ce_differential(g, Cochain(3, 0, {(): 5})).is_zero()
@@ -287,7 +351,7 @@ class TestDifferential:
             dxi = ce_differential(g, xi)
             x = tuple(F(rng.randint(-3, 3)) for _ in range(4))
             y = tuple(F(rng.randint(-3, 3)) for _ in range(4))
-            assert dxi.evaluate(x, y) == xi.evaluate(g.bracket(x, y))
+            assert dxi.evaluate(x, y) == xi.evaluate(dense_bracket(g, x, y))
 
     def test_affine_printed_coboundary(self, affine_entry):
         g = affine_entry.g
@@ -333,7 +397,7 @@ class TestSubalgebra:
                 [g.basis_vector(g.index("e12")), g.basis_vector(g.index("e21"))],
             )
         x, y, w = err.value.witness
-        assert w == g.bracket(x, y)
+        assert w == dense_bracket(g, x, y)
         # the witness bracket is e11 - e22, outside span{e12, e21}
         assert w[g.index("e11")] == 1 and w[g.index("e22")] == -1
 
@@ -367,8 +431,44 @@ class TestSubalgebra:
             ],
         )
         v = p.from_coords((F(2), F(-3)))
-        assert p.coords_of(v) == (F(2), F(-3))
-        assert p.coords_of(g.basis_vector(g.index("e21"))) is None
+        assert p.coords_of({k: c for k, c in enumerate(v) if c}) == {0: 2, 1: -3}
+        assert p.coords_of({g.index("e21"): F(1)}) is None
+        assert p.coords_of({}) == {}
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), n=st.integers(2, 4))
+    def test_closure_table_matches_pair_oracle(self, data, n):
+        # random coordinate subalgebras of gl(n): spans of diagonal units
+        # and the units above the diagonal of a random block order
+        g = gl(n)
+        blocks = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        diag = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        coords = [
+            g.index(f"e{i + 1}{j + 1}")
+            for i in range(n)
+            for j in range(n)
+            if (i == j and diag[i]) or (i != j and blocks[i] < blocks[j])
+        ]
+        p = span_subalgebra(g, [g.basis_vector(c) for c in coords])
+        assert p.as_lie_algebra().table == closure_table(p)
+
+    def test_closure_table_on_rref_rows(self, affine_entry, gg_entries):
+        # carriers whose rows are not unit vectors
+        for st_ in (affine_entry.structure, gg_entries[3].structure, gg_entries[4].structure):
+            carrier, _ = carrier_and_kernel(st_)
+            assert carrier.as_lie_algebra().table == closure_table(carrier)
+
+    def test_not_closed_first_pair_and_dense_witness(self):
+        # the first failing pair in basis order, (e12, e23) with bracket
+        # e13, as a dense triple of Fractions, as the dense closure check gave
+        g = gl(3)
+        vectors = [g.basis_vector(g.index(lab)) for lab in ("e11", "e12", "e23", "e31")]
+        with pytest.raises(NotClosedError) as err:
+            span_subalgebra(g, vectors)
+        x, y, w = err.value.witness
+        assert (x, y) == (g.basis_vector(g.index("e12")), g.basis_vector(g.index("e23")))
+        assert w == dense_bracket(g, x, y) == g.basis_vector(g.index("e13"))
+        assert all(isinstance(c, Fraction) for c in x + y + w)
 
 
 class TestAnnihilator:
@@ -444,12 +544,13 @@ class Representation:
                 raise RepresentationError("matrices must be square of equal size")
         algebra = acting.as_lie_algebra()
         for s, t in itertools.combinations(range(acting.dim), 2):
-            expected = Matrix.zeros(self.space_dim, self.space_dim)
+            expected = zeros(self.space_dim, self.space_dim)
             for k, c in algebra.bracket_basis(s, t).items():
-                expected = expected + Matrix(
-                    [[c * x for x in row] for row in self.matrices[k].entries]
+                expected = mat_add(
+                    expected, Matrix([[c * x for x in row] for row in self.matrices[k].entries])
                 )
-            commutator = self.matrices[s] @ self.matrices[t] - self.matrices[t] @ self.matrices[s]
+            ms, mt = self.matrices[s], self.matrices[t]
+            commutator = mat_sub(matmul(ms, mt), matmul(mt, ms))
             if commutator != expected:
                 raise RepresentationError(
                     f"matrices fail the homomorphism identity at basis pair ({s}, {t})"
@@ -470,7 +571,7 @@ def quotient_rep(g, p) -> Representation:
     """Action X.cl(Y) = cl([X,Y]) on classes, in the canonical complement."""
     mats = []
     for b in p.basis:
-        cols = [quotient_coords(p, g.bracket(b, g.basis_vector(q))) for q in p.complement]
+        cols = [quotient_coords(p, dense_bracket(g, b, g.basis_vector(q))) for q in p.complement]
         mats.append(Matrix.from_columns(cols) if p.complement else Matrix([]))
     return Representation(p, mats)
 
@@ -485,7 +586,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
         cols = []
         for gamma in covs:
             image = tuple(
-                -sum((c * x for c, x in zip(gamma, g.bracket(b, g.basis_vector(j)))), F(0))
+                -sum((c * x for c, x in zip(gamma, dense_bracket(g, b, g.basis_vector(j)))), F(0))
                 for j in range(g.dim)
             )
             try:
@@ -542,7 +643,7 @@ class TestRepresentations:
                         recovered[k] += c * cv
                 for j in range(g.dim):
                     lhs = recovered[j]
-                    rhs = -gamma.evaluate(g.bracket(b, g.basis_vector(j)))
+                    rhs = -gamma.evaluate(dense_bracket(g, b, g.basis_vector(j)))
                     assert lhs == rhs
 
     def test_not_invariant_rejected(self, gl_algebras):
@@ -592,11 +693,11 @@ class TestCharacters:
         g, p = entry.g, entry.subalgebra
         chi = quotient_character(g, p)
         chi_vec = chi.to_vector()
-        h1 = p.coords_of(g.basis_vector(g.index("h1")))
-        assert sum((c * x for c, x in zip(h1, chi_vec)), F(0)) == -n
+        h1 = p.coords_of({g.index("h1"): F(1)})
+        assert sum((c * chi_vec[s] for s, c in h1.items()), F(0)) == -n
         for k in range(2, n):
-            hk = p.coords_of(g.basis_vector(g.index(f"h{k}")))
-            assert sum((c * x for c, x in zip(hk, chi_vec)), F(0)) == 0
+            hk = p.coords_of({g.index(f"h{k}"): F(1)})
+            assert sum((c * chi_vec[s] for s, c in hk.items()), F(0)) == 0
 
     def test_duality_of_characters(self, affine_entry, gl_algebras):
         # the quotient action and the coadjoint action on the annihilator
@@ -685,10 +786,10 @@ class TestTraceAdjoint:
         assert trace_adjoint(gl_algebras[n]).is_zero()
 
     def test_matches_ad_matrix_traces(self, gl_algebras):
-        g = gl_algebras[2]
-        ta = trace_adjoint(g).to_vector()
-        for m in range(g.dim):
-            assert ta[m] == g.ad(g.basis_vector(m)).trace()
+        for g in (gl_algebras[2], solvable4(), affine_algebra()):
+            ta = trace_adjoint(g).to_vector()
+            for m in range(g.dim):
+                assert ta[m] == ad_matrix(g, g.basis_vector(m)).trace()
 
 
 class TestFormatting:

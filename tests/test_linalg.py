@@ -13,6 +13,7 @@ from modclass.linalg import (
     rref,
     solve,
 )
+from oracles import identity, matmul
 
 
 def F(x):
@@ -34,8 +35,8 @@ class TestRat:
 
 class TestRref:
     def test_identity(self):
-        result = rref(Matrix.identity(2))
-        assert result.reduced == Matrix.identity(2)
+        result = rref(identity(2))
+        assert result.reduced == identity(2)
         assert result.pivots == (0, 1)
         assert result.rank == 2
 
@@ -54,7 +55,7 @@ class TestRref:
 
 class TestKernel:
     def test_injective(self):
-        assert kernel_basis(Matrix.identity(3)) == []
+        assert kernel_basis(identity(3)) == []
 
     def test_rank_one(self):
         assert kernel_basis(Matrix([[1, 1]])) == [(F(-1), F(1))]
@@ -70,7 +71,7 @@ class TestKernel:
 
 class TestSolve:
     def test_identity(self):
-        s = solve(Matrix.identity(2), [F(3), F(5)])
+        s = solve(identity(2), [F(3), F(5)])
         assert s.vector == (F(3), F(5)) and s.unique
 
     def test_free_variable_convention(self):
@@ -85,7 +86,7 @@ class TestSolve:
 
 class TestInvert:
     def test_identity(self):
-        assert invert(Matrix.identity(3)) == Matrix.identity(3)
+        assert invert(identity(3)) == identity(3)
 
     def test_rotation(self):
         assert invert(Matrix([[0, 1], [-1, 0]])) == Matrix([[0, -1], [1, 0]])
@@ -158,5 +159,5 @@ def test_double_inverse(m):
         inv = invert(m)
     except SingularMatrixError:
         return
-    assert m @ inv == Matrix.identity(m.rows)
+    assert matmul(m, inv) == identity(m.rows)
     assert invert(inv) == m

@@ -20,6 +20,7 @@ from modclass.linalg import (
     solve,
 )
 from modclass.twisted import carrier_and_kernel
+from oracles import ad_matrix
 
 pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
@@ -128,7 +129,7 @@ def test_quotient_character_against_pseudo_inverse(affine_entry, q_entries, gg_e
         left_inverse = basis.transpose().matmul(basis).inv().matmul(basis.transpose())
         expected = []
         for b in p.basis:
-            ad = dm(g.ad(b).entries)
+            ad = dm(ad_matrix(g, b).entries)
             restricted = left_inverse.matmul(ad).matmul(basis)
             trace = sum((r[i] for i, r in enumerate(fractions(ad))), Fraction(0))
             trace -= sum((r[i] for i, r in enumerate(fractions(restricted))), Fraction(0))

@@ -9,6 +9,7 @@ from modclass.catalog import affine_algebra, gl
 from modclass.frobenius import linearize
 from modclass.liealg import (
     Cochain,
+    LieAlgebra,
     Multivector,
     NotClosedError,
     annihilator,
@@ -25,7 +26,6 @@ from modclass.twisted import (
     _dual_table,
     carrier_and_kernel,
     cybe_lhs_trivector,
-    dual_bracket,
     dual_lie_algebra,
     modular_class,
     psi_pullback_trivector,
@@ -33,6 +33,13 @@ from modclass.twisted import (
     relation_check,
     sharp_homomorphism_residuals,
     verify_twisted_cybe,
+)
+from oracles import (
+    ad_matrix,
+    cybe_lhs_trivector_fraction,
+    dense_bracket,
+    dense_sharp_apply,
+    dual_bracket,
 )
 
 
@@ -47,9 +54,9 @@ def cybe_lhs_direct(g, r):
     terms = {}
     for a, b, c in itertools.combinations(range(g.dim), 3):
         val = (
-            g.bracket(cols[b], cols[c])[a]
-            + g.bracket(cols[c], cols[a])[b]
-            + g.bracket(cols[a], cols[b])[c]
+            dense_bracket(g, cols[b], cols[c])[a]
+            + dense_bracket(g, cols[c], cols[a])[b]
+            + dense_bracket(g, cols[a], cols[b])[c]
         )
         if val != 0:
             terms[(a, b, c)] = val
@@ -89,10 +96,9 @@ class TestRSharp:
     def test_affine_images(self, affine_entry):
         g = affine_entry.g
         st = affine_entry.structure
-        assert st.sharp_apply(Cochain.basis(6, g.index("e13"))) == g.basis_vector(
-            g.index("e23")
-        )
-        assert st.sharp_apply(Cochain.basis(6, g.index("e12"))) == (F(0),) * 6
+        assert st.sharp_apply(Cochain.basis(6, g.index("e13"))) == {g.index("e23"): 1}
+        assert st.sharp_apply(Cochain.basis(6, g.index("e12"))) == {}
+        assert dense_sharp_apply(st, Cochain.basis(6, g.index("e12"))) == (F(0),) * 6
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_q_family_images(self, n, q_entries):
@@ -101,7 +107,7 @@ class TestRSharp:
         for i in range(1, n):
             assert entry.structure.sharp_apply(
                 Cochain.basis(g.dim, g.index(f"e{i}{i}"))
-            ) == g.basis_vector(g.index(f"e{i}{n}"))
+            ) == {g.index(f"e{i}{n}"): 1}
 
     def test_skew_pairing(self):
         rng = random.Random(21)
@@ -132,6 +138,22 @@ class TestCybeOracle:
             for _ in range(6):
                 r = random_multivector(rng, g.dim, 2, density=0.3)
                 assert cybe_lhs_trivector(g, r) == cybe_lhs_direct(g, r)
+
+    def test_lhs_matches_fraction_loop(self, q_entries, gg_entries):
+        # rational r with mixed denominators, and the catalog's r
+        rng = random.Random(25)
+        dens = [1, 2, 3, 5, 10**25 + 13]
+        for g in (affine_algebra(), gl(3), gl(4)):
+            for _ in range(4):
+                r = Multivector(g.dim, 2, {
+                    idx: Fraction(rng.randint(-9, 9), rng.choice(dens))
+                    for idx in itertools.combinations(range(g.dim), 2)
+                    if rng.random() < 0.25
+                })
+                assert cybe_lhs_trivector(g, r) == cybe_lhs_trivector_fraction(g, r)
+        for entry in (q_entries[4], gg_entries[4]):
+            st = entry.structure
+            assert cybe_lhs_trivector(st.g, st.r) == cybe_lhs_trivector_fraction(st.g, st.r)
 
     def test_pullback_matches_direct_formula(self):
         rng = random.Random(24)
@@ -228,10 +250,10 @@ class TestVerify:
 def dual_bracket_oracle(st, alpha, beta):
     """The defining display formula, evaluated through dense ad matrices."""
     g = st.g
-    x = st.sharp_apply(alpha)
-    y = st.sharp_apply(beta)
-    ad_x = g.ad(x)
-    ad_y = g.ad(y)
+    x = dense_sharp_apply(st, alpha)
+    y = dense_sharp_apply(st, beta)
+    ad_x = ad_matrix(g, x)
+    ad_y = ad_matrix(g, y)
     av, bv = alpha.to_vector(), beta.to_vector()
     out = []
     for j in range(g.dim):
@@ -519,6 +541,21 @@ class TestModularClass:
         object.__setattr__(st, "_kernel", bad)
         with pytest.raises(error, match=match):
             modular_class(st)
+
+    def test_sharp_homomorphism_when_pushed_entry_cancels(self):
+        # abelian g = <e0, e1, e2>, r = e0 ^ (e1 + e2), psi = e0* ^ e1* ^ e2*:
+        # [e0*, e1*] = psi(e1 + e2, -e0, .) = e2* - e1*, a kernel covector
+        # whose two terms r# sends to -e0 and e0; the push cancels to 0,
+        # as does [r#e0*, r#e1*]
+        g = LieAlgebra(["e0", "e1", "e2"], {})
+        r = Multivector(3, 2, {(0, 1): F(1), (0, 2): F(1)})
+        psi = Cochain(3, 3, {(0, 1, 2): F(1)})
+        st = TwistedTriangularStructure(g, r, psi)
+        entry = _dual_table(st)[(0, 1)]
+        assert entry == {1: -1, 2: 1}
+        assert st.sharp_apply(entry) == {}
+        assert sharp_homomorphism_residuals(st) is None
+        assert modular_class(st).crosschecks["sharp_homomorphism"].passed
 
     def test_sharp_homomorphism_on_catalog(self, affine_entry, q_entries, gg_entries):
         for st in (
