@@ -58,10 +58,11 @@ class NotFrobeniusError(ValueError):
 def _gram(p: Subalgebra, mu: Cochain) -> Matrix:
     if mu.degree != 2 or mu.dim != p.dim:
         raise ValueError("expected a 2-cochain on the subalgebra")
-    n = p.dim
-    return Matrix(
-        [[mu.coefficient(s, t) for t in range(n)] for s in range(n)]
-    )
+    rows = [[Fraction(0)] * p.dim for _ in range(p.dim)]
+    for (s, t), c in mu.terms.items():
+        rows[s][t] = c
+        rows[t][s] = -c
+    return Matrix(rows)
 
 
 def mu_from_xi(p: Subalgebra, xi: Cochain) -> Cochain:
@@ -90,7 +91,7 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
         witness = p.from_coords(kernel_basis(gram)[0])
         raise DegenerateFormError("2-cochain is degenerate on the subalgebra", witness)
     # r = sum over s < t of -coeff[s, t] b_s ^ b_t, summed into one dict
-    support = [[(i, c) for i, c in enumerate(b) if c != 0] for b in p.basis]
+    support = [list(row.items()) for row in p.rows]
     acc: dict[tuple[int, int], Fraction] = {}
     for s, t in itertools.combinations(range(p.dim), 2):
         c = -coeff[s, t]
@@ -105,38 +106,6 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
     return Multivector(p.parent.dim, 2, acc)
 
 
-def invert_bivector(p: Subalgebra, r: Multivector) -> Cochain:
-    """The 2-cochain on the subalgebra inverse to a non-degenerate bivector."""
-    if r.degree != 2 or r.dim != p.parent.dim:
-        raise ValueError("expected a bivector on the parent algebra")
-    n = p.dim
-    coeff = [[Fraction(0)] * n for _ in range(n)]
-    # bivector coefficients in subalgebra coordinates: r evaluated on the
-    # dual basis of the subalgebra, extended by zero (the value does not
-    # depend on the extension when r is supported in the subalgebra)
-    duals = [p.extend_cochain_by_zero(Cochain.basis(n, s)).to_vector() for s in range(n)]
-    for s in range(n):
-        for t in range(s + 1, n):
-            alpha, beta = duals[s], duals[t]
-            val = Fraction(0)
-            for (i, j), c in r.terms.items():
-                val += c * (alpha[i] * beta[j] - alpha[j] * beta[i])
-            coeff[s][t] = val
-            coeff[t][s] = -val
-    cmat = Matrix(coeff)
-    try:
-        gram = invert(cmat)
-    except SingularMatrixError:
-        witness = p.from_coords(kernel_basis(cmat)[0])
-        raise DegenerateFormError("bivector is degenerate on the subalgebra", witness)
-    terms = {}
-    for s, t in itertools.combinations(range(n), 2):
-        g = -gram[s, t]
-        if g != 0:
-            terms[(s, t)] = g
-    return Cochain(n, 2, terms)
-
-
 def linearize(g: LieAlgebra, p: Subalgebra, mu: Cochain) -> TwistedTriangularStructure:
     """Build a twisted triangular structure from a 2-cochain on the algebra.
 
@@ -149,23 +118,6 @@ def linearize(g: LieAlgebra, p: Subalgebra, mu: Cochain) -> TwistedTriangularStr
     mu_p = p.restrict_cochain(mu)
     r = invert_cochain(p, mu_p)
     psi = -ce_differential(g, mu)
-    return TwistedTriangularStructure(g, r, psi)
-
-
-def linearize_from_parts(
-    g: LieAlgebra, p: Subalgebra, mu_p: Cochain, psi: Cochain
-) -> TwistedTriangularStructure:
-    """Build a structure from subalgebra-level data and a compatible twist.
-
-    psi must be closed with restriction to the subalgebra equal to minus
-    the differential of mu_p.
-    """
-    if not ce_differential(g, psi).is_zero():
-        raise ValueError("psi is not closed")
-    p_alg = p.as_lie_algebra()
-    if p.restrict_cochain(psi) != -ce_differential(p_alg, mu_p):
-        raise ValueError("psi does not restrict to minus the differential of mu")
-    r = invert_cochain(p, mu_p)
     return TwistedTriangularStructure(g, r, psi)
 
 

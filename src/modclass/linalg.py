@@ -7,9 +7,8 @@ Gaussian elimination is used instead of fraction-free variants.
 
 ``Matrix`` holds the inputs and results of the row reductions (``rref``,
 ``kernel_basis``, ``solve``, ``invert``) on small Gram and r# matrices;
-it has no matrix products or sums.  ``dot`` multiplies only the pairs of
-entries that are both nonzero.  The rest of the package works on sparse
-vectors (see ``liealg``).
+it has no matrix products, sums or matrix-vector products.  The rest of
+the package works on sparse vectors (see ``liealg``).
 """
 
 from __future__ import annotations
@@ -48,21 +47,8 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-def vec(*entries) -> Vector:
-    return tuple(rat(e) for e in entries)
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """Exact inner product over the pairs of entries that are both nonzero."""
-    total = Fraction(0)
-    for a, b in zip(x, y, strict=True):
-        if a and b:
-            total += a * b
-    return total
 
 
 class Matrix:
@@ -101,23 +87,6 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.entries)) if self.rows else Matrix([])
-
-    def apply(self, x: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product."""
-        if len(x) != self.cols:
-            raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} vs {len(x)}")
-        return tuple(dot(r, x) for r in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries

@@ -88,17 +88,6 @@ def _dense(cols: list[dict[int, Fraction]]) -> Matrix:
     return Matrix.from_columns([[col.get(k, Fraction(0)) for k in range(n)] for col in cols])
 
 
-def r_sharp_matrix(g: LieAlgebra, r: Multivector) -> Matrix:
-    """Matrix of the contraction map dual -> algebra, alpha -> i_alpha r.
-
-    Column a holds the coordinates of the image of the a-th dual basis
-    covector; the matrix is skew in the sense <a, r#b> = -<b, r#a>.
-    """
-    if r.degree != 2 or r.dim != g.dim:
-        raise ValueError("r must be a bivector on the algebra")
-    return _dense(_sharp_columns(r))
-
-
 def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
     """The Yang-Baxter trivector T(r), via the decomposable-pair expansion.
 

@@ -16,7 +16,17 @@ of these runs outside the test suite.
 * ``ce_differential_fraction`` and ``cybe_lhs_trivector_fraction``: the
   Fraction loops through ``_sort_with_sign``, against the integer ones;
 * ``closure_table``: the structure constants of a subalgebra, bracketing
-  every pair of dense basis vectors again.
+  every pair of dense basis vectors again;
+* ``restrict_by_evaluation`` and ``gram_by_coefficient``: the restriction
+  of a cochain by the determinant rule on every tuple of basis vectors, and
+  the Gram matrix by one ``coefficient`` call per entry, against the
+  pullback of terms;
+* ``dot``, ``mat_apply``, ``mat_trace``, ``mat_is_zero`` and
+  ``r_sharp_matrix``: dense inner and matrix-vector products, traces and
+  the dense matrix of r#, which no library computation needs;
+* ``invert_bivector`` and ``linearize_from_parts``: the inverse of
+  ``invert_cochain`` and a linearization from subalgebra-level data, used
+  as round-trip checks.
 """
 
 from __future__ import annotations
@@ -25,9 +35,36 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from modclass.frobenius import _gram, mu_from_xi
-from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign
-from modclass.linalg import Matrix, Vector, dot, kernel_basis
+from modclass.frobenius import DegenerateFormError, _gram, invert_cochain, mu_from_xi
+from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign, ce_differential
+from modclass.linalg import Matrix, SingularMatrixError, Vector, invert, kernel_basis
+from modclass.twisted import TwistedTriangularStructure
+
+
+def dot(x, y) -> Fraction:
+    """Exact inner product over the pairs of entries that are both nonzero."""
+    total = Fraction(0)
+    for a, b in zip(x, y, strict=True):
+        if a and b:
+            total += a * b
+    return total
+
+
+def mat_apply(m: Matrix, x) -> Vector:
+    """Matrix-vector product."""
+    if len(x) != m.cols:
+        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} vs {len(x)}")
+    return tuple(dot(r, x) for r in m.entries)
+
+
+def mat_trace(m: Matrix) -> Fraction:
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
+
+
+def mat_is_zero(m: Matrix) -> bool:
+    return all(x == 0 for row in m.entries for x in row)
 
 
 def dense_bracket(g: LieAlgebra, x, y) -> Vector:
@@ -216,3 +253,80 @@ def closure_table(p) -> dict[tuple[int, int], dict[int, Fraction]]:
         if entry:
             table[(s, t)] = entry
     return table
+
+
+def restrict_by_evaluation(p, c: Cochain) -> Cochain:
+    """c restricted to p: the determinant rule on every tuple of basis vectors."""
+    terms = {}
+    for idx in itertools.combinations(range(p.dim), c.degree):
+        value = c.evaluate(*(p.basis[s] for s in idx))
+        if value != 0:
+            terms[idx] = value
+    return Cochain(p.dim, c.degree, terms)
+
+
+def gram_by_coefficient(mu: Cochain) -> Matrix:
+    """The skew Gram matrix of a 2-cochain, one ``coefficient`` call per entry."""
+    return Matrix([[mu.coefficient(s, t) for t in range(mu.dim)] for s in range(mu.dim)])
+
+
+def r_sharp_matrix(g: LieAlgebra, r: Multivector) -> Matrix:
+    """Matrix of the contraction map dual -> algebra, alpha -> i_alpha r.
+
+    Column a holds the coordinates of the image of the a-th dual basis
+    covector; the matrix is skew in the sense <a, r#b> = -<b, r#a>.
+    """
+    if r.degree != 2 or r.dim != g.dim:
+        raise ValueError("r must be a bivector on the algebra")
+    cols = [[Fraction(0)] * g.dim for _ in range(g.dim)]
+    for (i, j), c in r.terms.items():
+        cols[i][j] = c
+        cols[j][i] = -c
+    return Matrix.from_columns(cols)
+
+
+def invert_bivector(p, r: Multivector) -> Cochain:
+    """The 2-cochain on the subalgebra inverse to a non-degenerate bivector."""
+    if r.degree != 2 or r.dim != p.parent.dim:
+        raise ValueError("expected a bivector on the parent algebra")
+    n = p.dim
+    coeff = [[Fraction(0)] * n for _ in range(n)]
+    # bivector coefficients in subalgebra coordinates: r evaluated on the
+    # dual basis of the subalgebra, extended by zero (the value does not
+    # depend on the extension when r is supported in the subalgebra)
+    duals = [p.extend_cochain_by_zero(Cochain.basis(n, s)).to_vector() for s in range(n)]
+    for s in range(n):
+        for t in range(s + 1, n):
+            alpha, beta = duals[s], duals[t]
+            val = Fraction(0)
+            for (i, j), c in r.terms.items():
+                val += c * (alpha[i] * beta[j] - alpha[j] * beta[i])
+            coeff[s][t] = val
+            coeff[t][s] = -val
+    cmat = Matrix(coeff)
+    try:
+        gram = invert(cmat)
+    except SingularMatrixError:
+        witness = p.from_coords(kernel_basis(cmat)[0])
+        raise DegenerateFormError("bivector is degenerate on the subalgebra", witness)
+    terms = {}
+    for s, t in itertools.combinations(range(n), 2):
+        g = -gram[s, t]
+        if g != 0:
+            terms[(s, t)] = g
+    return Cochain(n, 2, terms)
+
+
+def linearize_from_parts(
+    g: LieAlgebra, p, mu_p: Cochain, psi: Cochain
+) -> TwistedTriangularStructure:
+    """Build a structure from subalgebra-level data and a compatible twist.
+
+    psi must be closed with restriction to the subalgebra equal to minus
+    the differential of mu_p.
+    """
+    if not ce_differential(g, psi).is_zero():
+        raise ValueError("psi is not closed")
+    if p.restrict_cochain(psi) != -ce_differential(p.as_lie_algebra(), mu_p):
+        raise ValueError("psi does not restrict to minus the differential of mu")
+    return TwistedTriangularStructure(g, invert_cochain(p, mu_p), psi)

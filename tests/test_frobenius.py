@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_random_linearize_input
+from conftest import make_random_linearize_input, random_cochain
 from modclass.catalog import p1_subalgebra, sl
 from modclass.frobenius import (
     DegenerateFormError,
     NotFrobeniusError,
     _gram,
     frobenius_modular,
-    invert_bivector,
     invert_cochain,
     linearize,
-    linearize_from_parts,
     mu_from_xi,
 )
 from modclass.liealg import (
@@ -26,7 +24,15 @@ from modclass.liealg import (
     whole_algebra,
 )
 from modclass.linalg import invert
-from oracles import FrobeniusCheck, dense_bracket, is_frobenius
+from oracles import (
+    FrobeniusCheck,
+    dense_bracket,
+    gram_by_coefficient,
+    invert_bivector,
+    is_frobenius,
+    linearize_from_parts,
+    r_sharp_matrix,
+)
 from modclass.twisted import (
     TwistedTriangularStructure,
     carrier_and_kernel,
@@ -108,6 +114,32 @@ def invert_cochain_by_wedges(p, mu):
     return out
 
 
+class TestGram:
+    def test_matches_coefficient_oracle(self, affine_entry, q_entries, gg_entries):
+        cases = [
+            (e.subalgebra, e.subalgebra.restrict_cochain(e.mu))
+            for e in (affine_entry, *q_entries.values())
+        ]
+        cases += [
+            (e.subalgebra, mu_from_xi(e.subalgebra, e.subalgebra.restrict_cochain(e.xi)))
+            for e in gg_entries.values()
+        ]
+        rng = random.Random(74)
+        for _ in range(10):
+            g, p, mu = make_random_linearize_input(rng)
+            cases.append((p, p.restrict_cochain(mu)))
+            cases.append((p, random_cochain(rng, p.dim, 2, bound=6)))
+        for p, mu in cases:
+            assert _gram(p, mu) == gram_by_coefficient(mu)
+
+    def test_rejects_wrong_degree_or_dimension(self, affine_entry):
+        p = affine_entry.subalgebra
+        with pytest.raises(ValueError):
+            _gram(p, Cochain.basis(p.dim, 0))
+        with pytest.raises(ValueError):
+            _gram(p, Cochain(p.dim + 1, 2, {(0, 1): 1}))
+
+
 class TestInvertCochain:
     def test_matches_wedge_sum(self, affine_entry, q_entries):
         cases = [
@@ -151,8 +183,6 @@ class TestInvertCochain:
         p = affine_entry.subalgebra
         mu_g = affine_entry.mu
         r = invert_cochain(p, p.restrict_cochain(mu_g))
-        from modclass.twisted import r_sharp_matrix
-
         sharp = r_sharp_matrix(g, r)
         for a, b in itertools.combinations(range(g.dim), 2):
             lhs = mu_g.evaluate(sharp.column(a), sharp.column(b))

@@ -35,8 +35,11 @@ from oracles import (
     closure_table,
     dense_bracket,
     mat_add,
+    mat_is_zero,
     mat_sub,
+    mat_trace,
     matmul,
+    restrict_by_evaluation,
     zeros,
 )
 
@@ -471,6 +474,132 @@ class TestSubalgebra:
         assert all(isinstance(c, Fraction) for c in x + y + w)
 
 
+def _conjugated_span(g, n, coords, moves):
+    """The basis units at coords, conjugated by I + t e_ab for each move (a, b, t).
+
+    Conjugation is an automorphism of gl(n), so a closed span stays closed;
+    mixing coordinates gives rref rows with entries other than 0 and 1.
+    """
+    mats = []
+    for c in coords:
+        i, j = (int(d) - 1 for d in g.labels[c][1:])
+        m = [[F(0)] * n for _ in range(n)]
+        m[i][j] = F(1)
+        mats.append(m)
+    for a, b, t in moves:
+        for m in mats:
+            # (I + t e_ab) m (I - t e_ab): add t * row b to row a, then
+            # subtract t * column a from column b
+            m[a] = [x + t * y for x, y in zip(m[a], m[b])]
+            for row in m:
+                row[b] -= t * row[a]
+    return [
+        tuple(m[int(lab[1]) - 1][int(lab[2]) - 1] for lab in g.labels) for m in mats
+    ]
+
+
+class TestRestrictAgainstEvaluation:
+    """``restrict_cochain`` (pullback of terms) against the determinant rule."""
+
+    @staticmethod
+    def catalog_cochains(entry):
+        g = entry.g
+        out = [
+            Cochain(g.dim, 0, {(): F(-3) / 2}),
+            Cochain.from_covector([F(k + 1) / 2 for k in range(g.dim)]),
+            entry.structure.psi,
+        ]
+        if entry.xi is not None:
+            out += [entry.xi, ce_differential(g, entry.xi)]
+        if entry.mu is not None:
+            out.append(entry.mu)
+        return out
+
+    def check_entry(self, entry):
+        p = entry.subalgebra
+        degrees = set()
+        for c in self.catalog_cochains(entry):
+            assert p.restrict_cochain(c) == restrict_by_evaluation(p, c)
+            degrees.add(c.degree)
+        assert degrees == {0, 1, 2, 3}
+
+    def test_affine_carrier(self, affine_entry):
+        self.check_entry(affine_entry)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_q_carriers(self, n, q_entries):
+        self.check_entry(q_entries[n])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gg_carriers(self, n, gg_entries):
+        self.check_entry(gg_entries[n])
+
+    def test_seeded_linearization_spans(self):
+        rng = random.Random(71)
+        for _ in range(20):
+            g, p, mu = make_random_linearize_input(rng)
+            for c in (mu, ce_differential(g, mu)):
+                assert p.restrict_cochain(c) == restrict_by_evaluation(p, c)
+
+    def test_non_unit_rref_rows(self):
+        # span(e11 + 2 e22 + 2 e33, e12 - e13): [X, Y] = -Y
+        g = gl(3)
+        x = {"e11": 1, "e22": 2, "e33": 2}
+        y = {"e12": 1, "e13": -1}
+        p = span_subalgebra(g, [tuple(F(v.get(lab, 0)) for lab in g.labels) for v in (x, y)])
+        assert {c for row in p.rows for c in row.values()} == {1, 2, -1}
+        rng = random.Random(72)
+        for degree in range(4):
+            for _ in range(5):
+                c = random_cochain(rng, g.dim, degree, density=0.3)
+                assert p.restrict_cochain(c) == restrict_by_evaluation(p, c)
+
+    def test_zero_subalgebra(self, gl_algebras):
+        g = gl_algebras[2]
+        p = span_subalgebra(g, [])
+        assert p.restrict_cochain(Cochain(g.dim, 0, {(): 5})) == Cochain(0, 0, {(): 5})
+        rng = random.Random(73)
+        for degree in range(4):
+            c = random_cochain(rng, g.dim, degree)
+            assert p.restrict_cochain(c) == restrict_by_evaluation(p, c)
+            if degree:
+                assert p.restrict_cochain(c).is_zero()
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        data=st.data(), n=st.integers(2, 3), degree=st.integers(0, 3), conjugate=st.booleans()
+    )
+    def test_random_cochains_on_random_spans(self, data, n, degree, conjugate):
+        g = gl(n)
+        blocks = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        diag = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        coords = [
+            g.index(f"e{i + 1}{j + 1}")
+            for i in range(n)
+            for j in range(n)
+            if (i == j and diag[i]) or (i != j and blocks[i] < blocks[j])
+        ]
+        move = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+        moves = data.draw(
+            st.lists(move.filter(lambda m: m[0] != m[1] and m[2]), min_size=1, max_size=3)
+            if conjugate
+            else st.just([])
+        )
+        p = span_subalgebra(g, _conjugated_span(g, n, coords, moves))
+        # indices mostly where the basis rows are nonzero, so that the
+        # restriction is rarely zero
+        support = sorted({i for row in p.rows for i in row})
+        pool = support if len(support) >= max(degree, 1) else list(range(g.dim))
+        index = st.lists(st.sampled_from(pool), min_size=degree, max_size=degree, unique=True)
+        terms = data.draw(
+            st.lists(
+                st.tuples(index, st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+                max_size=8,
+            )
+        )
+        c = Cochain(g.dim, degree, terms)
+        assert p.restrict_cochain(c) == restrict_by_evaluation(p, c)
+
 class TestAnnihilator:
     def test_whole_algebra(self, gl_algebras):
         g = gl_algebras[2]
@@ -599,7 +728,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
 
 def infinitesimal_character(rep: Representation) -> Cochain:
     """Trace of the representation; traces of commutators must vanish."""
-    values = [m.trace() for m in rep.matrices]
+    values = [mat_trace(m) for m in rep.matrices]
     algebra = rep.acting.as_lie_algebra()
     for s, t in itertools.combinations(range(rep.acting.dim), 2):
         total = sum((c * values[k] for k, c in algebra.bracket_basis(s, t).items()), F(0))
@@ -620,7 +749,7 @@ class TestRepresentations:
         g = LieAlgebra(["a", "b", "c"], {})
         p = span_subalgebra(g, [g.basis_vector(0)])
         rep = quotient_rep(g, p)
-        assert all(m.is_zero() for m in rep.matrices)
+        assert all(mat_is_zero(m) for m in rep.matrices)
 
     def test_coadjoint_on_zero_subspace(self, gl_algebras):
         g = gl_algebras[2]
@@ -656,7 +785,7 @@ class TestRepresentations:
         g = LieAlgebra(["a", "b", "c"], {})
         p = span_subalgebra(g, [g.basis_vector(0), g.basis_vector(1)])
         rep = coadjoint_subrep(g, p, annihilator(g, p))
-        assert all(m.is_zero() for m in rep.matrices)
+        assert all(mat_is_zero(m) for m in rep.matrices)
 
     def test_homomorphism_check_rejects_garbage(self, gl_algebras):
         g = gl_algebras[2]
@@ -789,7 +918,7 @@ class TestTraceAdjoint:
         for g in (gl_algebras[2], solvable4(), affine_algebra()):
             ta = trace_adjoint(g).to_vector()
             for m in range(g.dim):
-                assert ta[m] == ad_matrix(g, g.basis_vector(m)).trace()
+                assert ta[m] == mat_trace(ad_matrix(g, g.basis_vector(m)))
 
 
 class TestFormatting:
