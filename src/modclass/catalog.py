@@ -163,28 +163,15 @@ class CatalogEntry:
         return failures
 
 
-def _basis_cochain(g: LieAlgebra, label: str) -> Cochain:
-    return Cochain.basis(g.dim, g.index(label))
-
-
-def _basis_multivector(g: LieAlgebra, label: str) -> Multivector:
-    return Multivector.basis(g.dim, g.index(label))
-
-
 def affine_example() -> CatalogEntry:
     """The plane-affine algebra with its twisted structure; trivial class."""
     g = affine_algebra()
-    c = lambda lab: _basis_cochain(g, lab)
-    v = lambda lab: _basis_multivector(g, lab)
-
-    r = v("e11").wedge(v("e22")) + v("e13").wedge(v("e23"))
-    psi = -1 * (c("e11") + c("e22")).wedge(c("e13")).wedge(c("e23"))
-    mu = c("e11").wedge(c("e22")) + c("e13").wedge(c("e23"))
-    psi1 = (
-        psi
-        - c("e12").wedge(c("e21")).wedge(c("e22"))
-        + c("e11").wedge(c("e21")).wedge(c("e12"))
-    )
+    u = lambda *labels: tuple(g.index(lab) for lab in labels)
+    pairs = [(u("e11", "e22"), 1), (u("e13", "e23"), 1)]
+    r = Multivector(g.dim, 2, pairs)
+    mu = Cochain(g.dim, 2, pairs)
+    psi = Cochain(g.dim, 3, [(u("e11", "e13", "e23"), -1), (u("e22", "e13", "e23"), -1)])
+    psi1 = psi + Cochain(g.dim, 3, [(u("e12", "e21", "e22"), -1), (u("e11", "e21", "e12"), 1)])
     span = [g.basis_vector(g.index(lab)) for lab in ("e11", "e22", "e13", "e23")]
     p = span_subalgebra(g, span)
     structure = TwistedTriangularStructure(g, r, psi)
@@ -211,47 +198,51 @@ def q_subalgebra(g: LieAlgebra, n: int) -> Subalgebra:
     return span_subalgebra(g, span)
 
 
+def _units(g: LieAlgebra) -> Callable[[int, int], int]:
+    """The basis index of the unit E_ij."""
+    return lambda i, j: g.index(_label(i, j))
+
+
+def _q_pairs(g: LieAlgebra, n: int) -> list[tuple[int, int]]:
+    """Index pairs (a, b) of the q-family form, the sum of the e_a ^ e_b:
+    (E_ij, E_ji) for i < j < n, then (E_ii, E_in) for i < n."""
+    u = _units(g)
+    return [(u(i, j), u(j, i)) for i in range(1, n) for j in range(i + 1, n)] + [
+        (u(i, i), u(i, n)) for i in range(1, n)
+    ]
+
+
 def q_mu(g: LieAlgebra, n: int) -> Cochain:
-    c = lambda i, j: _basis_cochain(g, _label(i, j))
-    out = Cochain.zero(g.dim, 2)
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            out = out + c(i, j).wedge(c(j, i))
-    for i in range(1, n):
-        out = out + c(i, i).wedge(c(i, n))
-    return out
+    return Cochain(g.dim, 2, [(pair, 1) for pair in _q_pairs(g, n)])
 
 
 def q_printed_r(g: LieAlgebra, n: int) -> Multivector:
-    v = lambda i, j: _basis_multivector(g, _label(i, j))
-    out = Multivector.zero(g.dim, 2)
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            out = out + v(i, j).wedge(v(j, i))
-    for i in range(1, n):
-        out = out + v(i, i).wedge(v(i, n))
-    return out
+    return Multivector(g.dim, 2, [(pair, 1) for pair in _q_pairs(g, n)])
 
 
 def q_printed_psi(g: LieAlgebra, n: int) -> Cochain:
-    """Verbatim transcription of the closed-form twist; see the erratum note."""
-    c = lambda i, j: _basis_cochain(g, _label(i, j))
-    out = Cochain.zero(g.dim, 3)
+    """Verbatim transcription of the closed-form twist; see the erratum note.
+
+    Each wedge of three basis covectors is one term; the constructor sorts
+    its indices with their sign, drops repeated ones and sums the terms.
+    """
+    u = _units(g)
+    terms = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             sign = (i > j) - (i < j)
             if sign == 0:
                 continue
             for k in range(1, n + 1):
-                out = out + sign * c(i, k).wedge(c(k, j)).wedge(c(j, i))
+                terms.append(((u(i, k), u(k, j), u(j, i)), sign))
     for i in range(1, n):
         for k in range(1, n):
             if i != k:
-                out = out + c(i, k).wedge(c(k, i)).wedge(c(i, n))
+                terms.append(((u(i, k), u(k, i), u(i, n)), 1))
     for i in range(1, n):
         for k in range(1, n):
-            out = out - c(i, i).wedge(c(i, k)).wedge(c(k, n))
-    return out
+            terms.append(((u(i, i), u(i, k), u(k, n)), -1))
+    return Cochain(g.dim, 3, terms)
 
 
 def q_psi_discrepancy(n: int) -> Cochain:
@@ -299,28 +290,20 @@ def p1_subalgebra(g: LieAlgebra, n: int) -> Subalgebra:
 
 def gg_r_matrix(g: LieAlgebra, n: int) -> Multivector:
     """The generalized Jordanian r-matrix on sl(n)."""
-    v = lambda i, j: _basis_multivector(g, _label(i, j))
-
-    def diag_weight(k: int) -> Multivector:
-        # the traceless diagonal with entries (n-k)/n on the first k slots
-        # and -k/n after, written in the h-basis by partial sums
-        out = Multivector.zero(g.dim, 1)
-        for i in range(1, n):
-            coeff = (
-                Fraction(i * (n - k), n) if i <= k else Fraction(k * (n - i), n)
-            )
-            if coeff != 0:
-                out = out + coeff * Multivector.basis(g.dim, g.index(f"h{i}"))
-        return out
-
-    out = Multivector.zero(g.dim, 2)
+    u = _units(g)
+    terms = []
     for k in range(1, n):
-        out = out + diag_weight(k).wedge(v(k, k + 1))
+        # the diagonal weight: the traceless diagonal with entries (n-k)/n
+        # on the first k slots and -k/n after, in the h-basis by partial
+        # sums, wedged with E_k,k+1
+        for i in range(1, n):
+            coeff = Fraction(i * (n - k), n) if i <= k else Fraction(k * (n - i), n)
+            terms.append(((g.index(f"h{i}"), u(k, k + 1)), coeff))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for m in range(1, j - i):
-                out = out + v(i, j - m + 1).wedge(v(j, i + m))
-    return out
+                terms.append(((u(i, j - m + 1), u(j, i + m)), 1))
+    return Multivector(g.dim, 2, terms)
 
 
 def gg_example(n: int) -> CatalogEntry:
@@ -330,9 +313,8 @@ def gg_example(n: int) -> CatalogEntry:
     g = sl(n)
     r = gg_r_matrix(g, n)
     p = p1_subalgebra(g, n)
-    xi_g = Cochain.zero(g.dim, 1)
-    for i in range(1, n):
-        xi_g = xi_g + _basis_cochain(g, _label(i, i + 1))
+    u = _units(g)
+    xi_g = Cochain(g.dim, 1, [((u(i, i + 1),), 1) for i in range(1, n)])
     expected = [Fraction(0)] * g.dim
     for k in range(1, n):
         expected[g.index(_label(k, k + 1))] = Fraction(-(n - k))

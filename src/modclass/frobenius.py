@@ -9,7 +9,6 @@ minus the identity on the subalgebra.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from .liealg import (
     Cochain,
@@ -19,15 +18,7 @@ from .liealg import (
     ce_differential,
     quotient_character,
 )
-from .linalg import (
-    Matrix,
-    NoSolutionError,
-    SingularMatrixError,
-    Vector,
-    invert,
-    kernel_basis,
-    solve,
-)
+from .linalg import Matrix, NoSolutionError, SingularMatrixError, Vector, invert, solve
 from .twisted import TwistedTriangularStructure
 
 _EMPTY_FORM = "the empty form on a zero subalgebra is degenerate"
@@ -58,11 +49,11 @@ class NotFrobeniusError(ValueError):
 def _gram(p: Subalgebra, mu: Cochain) -> Matrix:
     if mu.degree != 2 or mu.dim != p.dim:
         raise ValueError("expected a 2-cochain on the subalgebra")
-    rows = [[Fraction(0)] * p.dim for _ in range(p.dim)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(p.dim)]
     for (s, t), c in mu.terms.items():
         rows[s][t] = c
         rows[t][s] = -c
-    return Matrix(rows)
+    return Matrix(rows, p.dim)
 
 
 def mu_from_xi(p: Subalgebra, xi: Cochain) -> Cochain:
@@ -80,29 +71,31 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
     """The bivector on the parent algebra inverse to a non-degenerate 2-cochain.
 
     Returns r in parent coordinates with support in the subalgebra,
-    satisfying mu(r#a, r#b) = r(a, b).
+    satisfying mu(r#a, r#b) = r(a, b).  A degenerate form raises
+    DegenerateFormError with the first kernel vector of its Gram matrix,
+    read from the elimination that tried to invert it.
     """
     gram = _gram(p, mu)
     if p.dim == 0:
         raise DegenerateFormError(_EMPTY_FORM)
     try:
         coeff = invert(gram)
-    except SingularMatrixError:
-        witness = p.from_coords(kernel_basis(gram)[0])
+    except SingularMatrixError as exc:
+        witness = p.from_coords(exc.kernel[0])
         raise DegenerateFormError("2-cochain is degenerate on the subalgebra", witness)
     # r = sum over s < t of -coeff[s, t] b_s ^ b_t, summed into one dict
     support = [list(row.items()) for row in p.rows]
     acc: dict[tuple[int, int], Fraction] = {}
-    for s, t in itertools.combinations(range(p.dim), 2):
-        c = -coeff[s, t]
-        if c == 0:
-            continue
-        for i, bi in support[s]:
-            for j, bj in support[t]:
-                if i < j:
-                    acc[(i, j)] = acc.get((i, j), 0) + c * bi * bj
-                elif j < i:
-                    acc[(j, i)] = acc.get((j, i), 0) - c * bi * bj
+    for s, row in enumerate(coeff.sparse_rows):
+        for t, x in row.items():
+            if t <= s:
+                continue
+            for i, bi in support[s]:
+                for j, bj in support[t]:
+                    if i < j:
+                        acc[(i, j)] = acc.get((i, j), 0) - x * bi * bj
+                    elif j < i:
+                        acc[(j, i)] = acc.get((j, i), 0) + x * bi * bj
     return Multivector(p.parent.dim, 2, acc)
 
 
@@ -126,16 +119,17 @@ def frobenius_modular(g: LieAlgebra, p: Subalgebra, xi: Cochain) -> Vector:
 
     In carrier coordinates, (ad*_{b_s} xi)(b_t) = -xi([b_s, b_t]) =
     mu(b_t, b_s) with mu = xi([.,.]), so the system is G x = chi for the
-    Gram matrix G of mu.  A singular G raises NotFrobeniusError with a
-    kernel vector, and the zero subalgebra counts as degenerate.
+    Gram matrix G of mu.  A singular G raises NotFrobeniusError with the
+    first kernel vector that the elimination of G x = chi reports, and the
+    zero subalgebra counts as degenerate.
     """
     if p.dim == 0:
         raise NotFrobeniusError()
     gram = _gram(p, mu_from_xi(p, xi))
     try:
-        coords, unique = solve(gram, quotient_character(g, p).to_vector())
-    except NoSolutionError:
-        unique = False
-    if not unique:
-        raise NotFrobeniusError(p.from_coords(kernel_basis(gram)[0]))
+        coords, kernel = solve(gram, quotient_character(g, p).to_vector())
+    except NoSolutionError as exc:
+        kernel = exc.kernel
+    if kernel:
+        raise NotFrobeniusError(p.from_coords(kernel[0]))
     return p.from_coords(coords)

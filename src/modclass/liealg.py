@@ -26,17 +26,15 @@ that no nonzero product reaches are never visited.  The sums run on
 Python ints, over the table scaled by the lcm D of its denominators, and
 since J(D c) = D^2 J(c) they vanish exactly where the rational ones do.
 
-Vectors inside this module and ``twisted`` are ``SparseVec`` dicts that
-never store a zero: ``LieAlgebra.bracket`` takes and returns them, and a
-``Subalgebra`` keeps sparse rows of its rref basis.  Dense ``Vector``
-tuples appear only at the public boundary (``Subalgebra.basis``,
-``basis_vector``, ``from_coords`` and error witnesses).  The closure check
-of a subalgebra brackets each pair of basis rows once and keeps the
-resulting structure constants, so ``as_lie_algebra`` never brackets again.
-Restricting a cochain to a subalgebra (``restrict_cochain``) pulls back
-each of its terms along those rows and sums the products into one dict; it
-agrees with the determinant rule of ``Cochain.evaluate`` on every tuple of
-basis vectors, which the test suite uses as its oracle.
+Vectors are the ``SparseVec`` dicts of ``linalg``: ``LieAlgebra.bracket``
+takes and returns them, and a ``Subalgebra`` is built from the sparse rows
+of its rref basis, from which it derives the dense ``basis``; dense tuples
+appear only at the public boundary (``basis``, ``basis_vector``,
+``from_coords``, witnesses).  The closure check brackets each pair of basis
+rows once and keeps the structure constants for ``as_lie_algebra``.
+``restrict_cochain`` pulls each term back along the rows, which agrees with
+the determinant rule of ``Cochain.evaluate``, the test suite's oracle.
+``annihilator`` reads ann(p) off the rows by ``linalg.null_space``.
 
 A subalgebra p acts on g/p and, by the coadjoint action, on the
 annihilator ann(p).  Only the characters (traces) of these two actions
@@ -55,19 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Vector, rat, rref, unit_vector
-
-SparseVec = dict[int, Fraction]
-
-
-def dense(v: SparseVec, n: int) -> Vector:
-    """The dense tuple of a sparse vector of length n."""
-    return tuple(v.get(k, Fraction(0)) for k in range(n))
-
-
-def sparse(x: Sequence[Fraction]) -> SparseVec:
-    """The nonzero entries of a dense vector."""
-    return {k: c for k, c in enumerate(x) if c}
+from .linalg import Matrix, SparseVec, Vector, dense, null_space, rat, rref, sparse
 
 
 def _denominator_lcm(values: Iterable[Fraction]) -> int:
@@ -135,10 +121,7 @@ class LieAlgebra:
         for (i, j), value in table.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < dim")
-            if isinstance(value, Mapping):
-                entries = {k: rat(c) for k, c in value.items() if rat(c) != 0}
-            else:
-                entries = {k: rat(c) for k, c in enumerate(value) if rat(c) != 0}
+            entries = sparse(value)
             if any(not 0 <= k < n for k in entries):
                 raise ValueError("bracket value index out of range")
             if entries:
@@ -160,7 +143,7 @@ class LieAlgebra:
         return self._index[label]
 
     def basis_vector(self, i: int) -> Vector:
-        return unit_vector(self.dim, i)
+        return dense({i: Fraction(1)}, self.dim)
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         """[e_i, e_j] as a sparse vector, any index order."""
@@ -568,18 +551,18 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
 class Subalgebra:
     """A bracket-closed subspace with a canonical (rref) basis.
 
-    ``basis[s]`` is 1 at its pivot coordinate ``pivots[s]`` and 0 at the
-    other pivots; the remaining coordinates, ``complement``, index the
-    canonical complement, spanned by their unit vectors.  ``rows`` holds the
-    same basis as sparse vectors.
+    ``rows[s]``, a sparse vector, is 1 at its pivot coordinate ``pivots[s]``
+    and 0 at the other pivots; the remaining coordinates, ``complement``,
+    index the canonical complement, spanned by their unit vectors.
+    ``basis`` holds the same basis as dense tuples.
     """
 
     __slots__ = ("parent", "basis", "rows", "pivots", "complement", "_slot", "_algebra")
 
-    def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], pivots: Sequence[int]):
+    def __init__(self, parent: LieAlgebra, rows: Sequence[SparseVec], pivots: Sequence[int]):
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
-        object.__setattr__(self, "rows", tuple(sparse(v) for v in self.basis))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "basis", tuple(dense(r, parent.dim) for r in self.rows))
         object.__setattr__(self, "pivots", tuple(pivots))
         pivot_set = set(pivots)
         object.__setattr__(
@@ -612,20 +595,18 @@ class Subalgebra:
 
     def from_coords(self, coords: Sequence[Fraction]) -> Vector:
         out = [Fraction(0)] * self.parent.dim
-        for c, b in zip(coords, self.basis, strict=True):
+        for c, row in zip(coords, self.rows, strict=True):
             if c != 0:
-                out = [o + c * x for o, x in zip(out, b)]
+                for k, x in row.items():
+                    out[k] += c * x
         return tuple(out)
 
     def labels(self) -> tuple[str, ...]:
-        out = []
-        for s, b in enumerate(self.basis):
-            support = [(i, c) for i, c in enumerate(b) if c != 0]
-            if len(support) == 1 and support[0][1] == 1:
-                out.append(self.parent.labels[support[0][0]])
-            else:
-                out.append(f"v{s}")
-        return tuple(out)
+        # a row with a single entry has it at its pivot
+        return tuple(
+            self.parent.labels[p] if row == {p: 1} else f"v{s}"
+            for s, (p, row) in enumerate(zip(self.pivots, self.rows))
+        )
 
     def as_lie_algebra(self) -> LieAlgebra:
         """The subalgebra as an abstract Lie algebra in its own basis.
@@ -697,21 +678,19 @@ class Subalgebra:
 
 
 def span_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence[Fraction]]) -> Subalgebra:
-    """Canonicalize a spanning set and verify bracket closure."""
-    if vectors:
-        reduced, pivots, rank = rref(Matrix(vectors))
-        return closed_subalgebra(g, [reduced.row(i) for i in range(rank)], pivots)
-    return closed_subalgebra(g, [], ())
+    """Canonicalize a spanning set of dense vectors and verify bracket closure."""
+    reduced, pivots, rank = rref(Matrix(vectors, g.dim))
+    return closed_subalgebra(g, reduced.sparse_rows[:rank], pivots)
 
 
 def closed_subalgebra(
-    g: LieAlgebra, basis: Sequence[Vector], pivots: Sequence[int]
+    g: LieAlgebra, rows: Sequence[SparseVec], pivots: Sequence[int]
 ) -> Subalgebra:
-    """The subalgebra with a basis already in rref, after verifying bracket closure.
+    """The subalgebra with sparse rref basis rows, after verifying bracket closure.
 
     The closure check builds the subalgebra's own table (``as_lie_algebra``).
     """
-    sub = Subalgebra(g, basis, pivots)
+    sub = Subalgebra(g, rows, pivots)
     sub.as_lie_algebra()
     return sub
 
@@ -723,18 +702,15 @@ def whole_algebra(g: LieAlgebra) -> Subalgebra:
 def annihilator(g: LieAlgebra, p: Subalgebra) -> list[Cochain]:
     """Canonical basis of the covectors vanishing on the subalgebra.
 
-    The basis of p is in rref, so this is the null space of that matrix in
-    the free-variable scheme of ``kernel_basis``: for each complement
-    coordinate f, 1 at f and -basis[s][f] at each pivot p_s.
+    The basis rows of p are in rref, so this is their null space in the
+    free-variable scheme of ``linalg.null_space``, which ``kernel_basis``
+    also uses: for each complement coordinate f, 1 at f and -rows[s][f] at
+    each pivot p_s.
     """
-    out = []
-    for f in p.complement:
-        terms = {(f,): Fraction(1)}
-        for pivot, row in zip(p.pivots, p.rows):
-            if f in row:
-                terms[(pivot,)] = -row[f]
-        out.append(Cochain(g.dim, 1, terms))
-    return out
+    return [
+        Cochain(g.dim, 1, {(k,): c for k, c in v.items()})
+        for v in null_space(p.rows, p.pivots, g.dim)
+    ]
 
 
 def quotient_character(g: LieAlgebra, p: Subalgebra) -> Cochain:

@@ -1,37 +1,50 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse vectors.
 
-Everything here is built on ``fractions.Fraction``: no floating point
-anywhere, so equality checks throughout the package are exact.  Matrices
-are immutable and small (dimensions up to ~100), so plain fraction-reducing
-Gaussian elimination is used instead of fraction-free variants.
+Everything is built on ``fractions.Fraction``, so equality is exact.  A
+``SparseVec`` (index -> nonzero Fraction) is the package's one vector type;
+dense ``Vector`` tuples appear only in public results.  ``sparse`` is the
+one coercion of user values to it, for ``Matrix`` and ``LieAlgebra`` alike.
 
-``Matrix`` holds the inputs and results of the row reductions (``rref``,
-``kernel_basis``, ``solve``, ``invert``) on small Gram and r# matrices;
-it has no matrix products, sums or matrix-vector products.  The rest of
-the package works on sparse vectors (see ``liealg``).
+A ``Matrix`` stores sparse rows, and ``rref``, ``kernel_basis``, ``solve``
+and ``invert`` are one sparse Gauss-Jordan elimination (``_eliminate``).
+The rref is unique, so each pivot is taken from the candidate row with the
+fewest entries.  ``solve`` and ``invert`` pivot only in the matrix's own
+columns and carry the right-hand side along, so the left block of their
+reduction is the rref of the matrix: the null space that a system without
+a unique answer reports comes from the same elimination.  Null spaces use
+one free-variable scheme, ``null_space``, shared with ``liealg``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # Exact rationals: always lowest terms, positive denominator, zero is 0/1.
 # The stdlib Fraction already guarantees every invariant we need.
 Rational = Fraction
 
 Vector = tuple[Fraction, ...]
+SparseVec = dict[int, Fraction]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-class NoSolutionError(ValueError):
-    """Raised when a linear system is inconsistent."""
+class _KernelError(ValueError):
+    def __init__(self, message: str, kernel: Sequence[Vector] = ()):
+        self.kernel = list(kernel)
+        super().__init__(message)
 
 
-class SingularMatrixError(ValueError):
-    """Raised when inverting a matrix of deficient rank."""
+class NoSolutionError(_KernelError):
+    """Raised when a linear system is inconsistent; ``kernel`` is the null
+    space of its matrix, as ``kernel_basis`` would give it."""
+
+
+class SingularMatrixError(_KernelError):
+    """Raised when inverting a matrix of deficient rank; ``kernel`` is its
+    null space, as ``kernel_basis`` would give it."""
 
 
 def rat(x) -> Fraction:
@@ -47,58 +60,123 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+def sparse(values: Mapping[int, object] | Sequence) -> SparseVec:
+    """The nonzero entries of a dense sequence or a sparse mapping, as Fractions."""
+    out: SparseVec = {}
+    for k, c in values.items() if isinstance(values, Mapping) else enumerate(values):
+        c = rat(c)
+        if c:
+            out[k] = c
+    return out
+
+
+def dense(v: SparseVec, n: int) -> Vector:
+    """The dense tuple of a sparse vector of length n."""
+    zero = Fraction(0)
+    return tuple(v.get(k, zero) for k in range(n))
 
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable matrix of exact rationals, stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``Matrix(rows)`` takes dense rows of equal length; ``Matrix(rows, cols)``
+    takes rows of width ``cols``, dense or sparse.  ``rows`` and ``cols``
+    are the shape, ``sparse_rows`` the entries.
+    """
 
-    def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(rat(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", rows)
+    __slots__ = ("rows", "cols", "sparse_rows")
+
+    def __init__(self, rows: Iterable, cols: int | None = None):
+        rows = list(rows)
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if any(not isinstance(r, Mapping) and len(r) != cols for r in rows):
+            raise ValueError("ragged rows")
+        data = tuple(sparse(r) for r in rows)
+        if any(not 0 <= k < cols for r in data for k in r):
+            raise ValueError("entry outside the matrix")
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "sparse_rows", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "Matrix":
-        if not columns:
-            return cls([])
-        n = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(n)])
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
+        if not isinstance(other, Matrix):
+            return False
+        return (self.cols, self.sparse_rows) == (other.cols, other.sparse_rows)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(str(x) for x in dense(r, self.cols)) for r in self.sparse_rows)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def _eliminate(
+    rows: Iterable[SparseVec], ncols: int
+) -> tuple[list[SparseVec], list[int], list[SparseVec]]:
+    """Sparse Gauss-Jordan elimination on the columns below ``ncols``.
+
+    Entries at columns ``ncols`` and beyond (an augmented block) are carried
+    along but never chosen as pivots.  Returns the reduced pivot rows in
+    pivot order, their pivot columns, and the rows left over, which are
+    zero below ``ncols``.
+    """
+    work = [dict(r) for r in rows if r]
+    done: list[SparseVec] = []
+    pivots: list[int] = []
+    for c in range(ncols):
+        if not work:
+            break
+        # every remaining row is already zero before column c
+        hits = [i for i, row in enumerate(work) if c in row]
+        if not hits:
+            continue
+        row = work.pop(min(hits, key=lambda i: len(work[i])))
+        lead = row[c]
+        if lead != 1:
+            row = {k: v / lead for k, v in row.items()}
+        for other in (*work, *done):
+            f = other.get(c)
+            if f is None:
+                continue
+            for k, v in row.items():
+                x = other.get(k, 0) - f * v
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+        done.append(row)
+        pivots.append(c)
+    return done, pivots, [r for r in work if r]
+
+
+def null_space(rows: Sequence[SparseVec], pivots: Sequence[int], n: int) -> list[SparseVec]:
+    """Null-space basis of an n-column matrix in rref, in the free-variable scheme.
+
+    ``rows`` are its nonzero rows and ``pivots`` their pivot columns; for
+    each free column f < n the basis vector is 1 at f and -rows[i][f] at
+    pivots[i].  Entries at columns n and beyond are ignored.
+    """
+    pivot_set = set(pivots)
+    out = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = {f: Fraction(1)}
+        for p, row in zip(pivots, rows):
+            c = row.get(f)
+            if c:
+                v[p] = -c
+        out.append(v)
+    return out
+
+
+def _kernel(rows: Sequence[SparseVec], pivots: Sequence[int], n: int) -> list[Vector]:
+    return [dense(v, n) for v in null_space(rows, pivots, n)]
 
 
 class RowEchelon(NamedTuple):
@@ -109,69 +187,48 @@ class RowEchelon(NamedTuple):
 
 def rref(m: Matrix) -> RowEchelon:
     """Reduced row echelon form, with pivot columns and rank."""
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RowEchelon(Matrix(work), tuple(pivots), len(pivots))
+    done, pivots, _ = _eliminate(m.sparse_rows, m.cols)
+    reduced = Matrix(done + [{}] * (m.rows - len(done)), m.cols)
+    return RowEchelon(reduced, tuple(pivots), len(pivots))
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of the null space from the rref free-variable scheme.
-
-    For each free column f the basis vector has a 1 at f and
-    -reduced[i][f] at the i-th pivot column.
-    """
-    reduced, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i, f]
-        basis.append(tuple(v))
-    return basis
+    """Canonical basis of the null space, in the free-variable scheme of
+    ``null_space``."""
+    done, pivots, _ = _eliminate(m.sparse_rows, m.cols)
+    return _kernel(done, pivots, m.cols)
 
 
 class Solution(NamedTuple):
     vector: Vector
-    unique: bool
+    kernel: list[Vector]
+
+    @property
+    def unique(self) -> bool:
+        return not self.kernel
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Solution:
     """One exact solution of m x = b, free variables set to zero.
 
-    Raises NoSolutionError when the system is inconsistent; ``unique`` is
-    False when the kernel is nonzero.
+    Raises NoSolutionError when the system is inconsistent; ``kernel`` is
+    the null space of m, empty when the solution is unique.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    augmented = Matrix([list(row) + [rb] for row, rb in zip(m.entries, b)])
-    reduced, pivots, rank = rref(augmented)
-    if pivots and pivots[-1] == m.cols:
-        raise NoSolutionError("inconsistent linear system")
-    x = [Fraction(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i, m.cols]
-    return Solution(tuple(x), unique=(rank == m.cols))
+    n = m.cols
+    augmented = []
+    for row, c in zip(m.sparse_rows, b):
+        c = rat(c)
+        augmented.append({**row, n: c} if c else row)
+    done, pivots, rest = _eliminate(augmented, n)
+    kernel = _kernel(done, pivots, n)
+    if rest:
+        raise NoSolutionError("inconsistent linear system", kernel)
+    x = [Fraction(0)] * n
+    for p, row in zip(pivots, done):
+        x[p] = row.get(n, Fraction(0))
+    return Solution(tuple(x), kernel)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -179,10 +236,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    augmented = Matrix(
-        [list(m.entries[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    )
-    reduced, pivots, rank = rref(augmented)
-    if rank < n or any(p >= n for p in pivots):
-        raise SingularMatrixError("matrix is singular")
-    return Matrix([row[n:] for row in reduced.entries])
+    augmented = [{**row, n + i: Fraction(1)} for i, row in enumerate(m.sparse_rows)]
+    done, pivots, _ = _eliminate(augmented, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular", _kernel(done, pivots, n))
+    return Matrix([{k - n: v for k, v in row.items() if k >= n} for row in done], n)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import Cochain, JacobiViolationError, LieAlgebra, Multivector
-from .linalg import Vector, _RAT_RE
+from .linalg import SparseVec, Vector, _RAT_RE, dense
 
 _SECTIONS = ("algebra", "r", "psi", "subalgebra", "mu", "xi")
 _TERM_DEGREE = {"r": 2, "psi": 3, "mu": 2, "xi": 1}
@@ -97,11 +97,15 @@ def _parse_rational(token: str, line: int) -> Fraction:
     return _fraction(token, line)
 
 
-def _parse_combination(tokens: list[str], labels: dict[str, int], line: int) -> Vector:
-    """A linear combination like ``e11 - 2 e12 + 1/3 e22`` over the labels."""
-    out = [Fraction(0)] * len(labels)
+_ONE = Fraction(1)
+
+
+def _parse_combination(tokens: list[str], labels: dict[str, int], line: int) -> SparseVec:
+    """A linear combination like ``e11 - 2 e12 + 1/3 e22`` over the labels,
+    as a sparse vector."""
+    out: SparseVec = {}
     if tokens == ["0"]:
-        return tuple(out)
+        return out
     sign = 1
     coeff: Fraction | None = None
     pending_sign = False
@@ -116,14 +120,16 @@ def _parse_combination(tokens: list[str], labels: dict[str, int], line: int) -> 
                 raise _fail("two consecutive coefficients in expression", line)
             coeff = _fraction(tok, line)
         elif tok in labels:
-            c = sign * (coeff if coeff is not None else Fraction(1))
-            out[labels[tok]] += c
+            c = _ONE if coeff is None else coeff
+            c = c if sign > 0 else -c
+            k = labels[tok]
+            out[k] = c if k not in out else out[k] + c
             sign, coeff, pending_sign = 1, None, False
         else:
             raise _fail(f"unknown basis label {tok!r}", line)
     if coeff is not None or pending_sign:
         raise _fail("expression ends without a basis label", line)
-    return tuple(out)
+    return {k: c for k, c in out.items() if c}
 
 
 def parse(text: str) -> StructureData:
@@ -234,8 +240,7 @@ def parse(text: str) -> StructureData:
             )
         if (i, j) in brackets:
             raise _fail(f"duplicate bracket for ({la}, {lb})", lineno)
-        combo = _parse_combination(rhs_tokens, labels, lineno)
-        entry = {k: c for k, c in enumerate(combo) if c != 0}
+        entry = _parse_combination(rhs_tokens, labels, lineno)
         if entry:
             brackets[(i, j)] = entry
 
@@ -264,14 +269,13 @@ def parse(text: str) -> StructureData:
             if coeff != 0:
                 term_blocks[sec][idx] = coeff
 
+    n = len(labels)
     subvectors: tuple[Vector, ...] | None = None
     if "subalgebra" in seen:
-        vecs = [
-            _parse_combination(tokens, labels, lineno) for lineno, tokens in vector_lines
-        ]
-        subvectors = tuple(vecs)
+        subvectors = tuple(
+            dense(_parse_combination(tokens, labels, lineno), n) for lineno, tokens in vector_lines
+        )
 
-    n = len(labels)
     return StructureData(
         algebra=algebra,
         name=name,
@@ -323,9 +327,10 @@ def rational_str(c: Fraction) -> str:
     return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
 
 
-def combination_str(v: Vector, labels: tuple[str, ...]) -> str:
+def combination_str(v: Vector | SparseVec, labels: tuple[str, ...]) -> str:
+    """Text form of a dense or sparse vector, terms in index order."""
     parts: list[str] = []
-    for i, c in enumerate(v):
+    for i, c in sorted(v.items()) if isinstance(v, dict) else enumerate(v):
         if c == 0:
             continue
         mag = abs(c)
@@ -346,14 +351,8 @@ def serialize(data: StructureData) -> str:
     lines.append("[algebra]")
     lines.append(f"dim = {g.dim}")
     lines.append(f"labels = {' '.join(g.labels)}")
-    for (i, j) in sorted(g.table):
-        combo = [Fraction(0)] * g.dim
-        for k, c in g.table[(i, j)].items():
-            combo[k] = c
-        lines.append(
-            f"bracket {g.labels[i]} {g.labels[j]} = "
-            f"{combination_str(tuple(combo), g.labels)}"
-        )
+    for (i, j), entry in sorted(g.table.items()):
+        lines.append(f"bracket {g.labels[i]} {g.labels[j]} = {combination_str(entry, g.labels)}")
     for sec, obj in (("r", data.r), ("psi", data.psi)):
         if obj is not None:
             lines.append(f"[{sec}]")

@@ -12,17 +12,14 @@ regression test; together with this package's differential orientation it
 makes the linearization constructor, the Yang-Baxter check and the dual
 Lie algebra mutually consistent.
 
-The map r# is kept once, as sparse columns (``sharp_columns``); its dense
-matrix is derived from them and used only for the one row reduction that
-finds the carrier.  The modular class is the image under r#, restricted to
-the carrier p = im r#, of the character of p acting on g/p.  That
+The map r# is kept once, as sparse columns (``sharp_columns``), and no
+dense matrix of it is built: the carrier p = im r# is the row reduction of
+the matrix whose rows are those columns.  The modular class is the image
+under r#, restricted to p, of the character of p acting on g/p.  That
 character and the character of p acting on the kernel ann(p) are computed
-as traces (see ``liealg``) and must be opposite.
-
-As in ``liealg``, every stage after verification works on sparse vectors:
-the r# columns, the carrier rows and the table the closure check built for
-the carrier.  Dense tuples appear only in results (the representative, the
-relation residuals).
+as traces (see ``liealg``) and must be opposite.  Every stage works on
+sparse vectors; dense tuples appear only in results (the representative,
+the relation residuals).
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .liealg import (
     Cochain,
     LieAlgebra,
     Multivector,
-    SparseVec,
     Subalgebra,
     _denominator_lcm,
     _sort_with_sign,
@@ -43,12 +39,10 @@ from .liealg import (
     ce_differential,
     closed_subalgebra,
     coadjoint_character,
-    dense,
     quotient_character,
-    sparse,
     trace_adjoint,
 )
-from .linalg import Matrix, Vector, rref
+from .linalg import Matrix, SparseVec, Vector, dense, rref, sparse
 
 #: Global sign relating T(r) to the pullback of psi, frozen once.
 CYBE_SIGN = Fraction(-1)
@@ -81,11 +75,6 @@ def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
         cols[i][j] = c
         cols[j][i] = -c
     return cols
-
-
-def _dense(cols: list[dict[int, Fraction]]) -> Matrix:
-    n = len(cols)
-    return Matrix.from_columns([[col.get(k, Fraction(0)) for k in range(n)] for col in cols])
 
 
 def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
@@ -200,7 +189,6 @@ class TwistedTriangularStructure:
         "g",
         "r",
         "psi",
-        "_sharp",
         "_sharp_cols",
         "_carrier",
         "_kernel",
@@ -218,7 +206,6 @@ class TwistedTriangularStructure:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "_sharp", None)
         object.__setattr__(self, "_sharp_cols", None)
         object.__setattr__(self, "_carrier", None)
         object.__setattr__(self, "_kernel", None)
@@ -261,12 +248,6 @@ class TwistedTriangularStructure:
             raise StructureInvariantError(
                 f"structure fails verification; residual {result.residual!r}"
             )
-
-    @property
-    def sharp(self) -> Matrix:
-        if self._sharp is None:
-            object.__setattr__(self, "_sharp", _dense(self.sharp_columns()))
-        return self._sharp
 
     def sharp_columns(self) -> list[dict[int, Fraction]]:
         """Images of the dual basis under r#, as sparse vectors."""
@@ -363,17 +344,18 @@ def carrier_and_kernel(
 ) -> tuple[Subalgebra, list[Cochain]]:
     """The image subalgebra of r# and the canonical kernel basis.
 
-    r# is skew, so its image is its row space: the nonzero rows of
-    rref(r#) are the canonical carrier basis, which is checked to be
-    bracket-closed.  The kernel is ann(carrier), the kernel of r#; closure
-    and r#k = 0 make it an abelian ideal of the dual Lie algebra, and
-    ``modular_class`` checks r#k = 0.
+    The image of r# is the span of its columns, so the nonzero rows of the
+    rref of the matrix whose rows are the sparse r# columns are the
+    canonical carrier basis, which is checked to be bracket-closed.  The
+    kernel is ann(carrier), the kernel of r#; closure and r#k = 0 make it
+    an abelian ideal of the dual Lie algebra, and ``modular_class`` checks
+    r#k = 0.
     """
     if structure._carrier is not None:
         return structure._carrier, structure._kernel
     g = structure.g
-    reduced, pivots, rank = rref(structure.sharp)
-    carrier = closed_subalgebra(g, [reduced.row(i) for i in range(rank)], pivots)
+    reduced, pivots, rank = rref(Matrix(structure.sharp_columns(), g.dim))
+    carrier = closed_subalgebra(g, reduced.sparse_rows[:rank], pivots)
     kernel = annihilator(g, carrier)
     object.__setattr__(structure, "_carrier", carrier)
     object.__setattr__(structure, "_kernel", kernel)

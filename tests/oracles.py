@@ -21,9 +21,13 @@ of these runs outside the test suite.
   of a cochain by the determinant rule on every tuple of basis vectors, and
   the Gram matrix by one ``coefficient`` call per entry, against the
   pullback of terms;
+* ``entries``, ``column`` and ``from_columns``: the dense rows and columns
+  of a ``Matrix``, which stores sparse rows, and a matrix from dense
+  columns;
 * ``dot``, ``mat_apply``, ``mat_trace``, ``mat_is_zero`` and
   ``r_sharp_matrix``: dense inner and matrix-vector products, traces and
-  the dense matrix of r#, which no library computation needs;
+  the dense matrix of r#, which no library computation needs (the library
+  row-reduces the sparse r# columns);
 * ``invert_bivector`` and ``linearize_from_parts``: the inverse of
   ``invert_cochain`` and a linearization from subalgebra-level data, used
   as round-trip checks.
@@ -37,8 +41,24 @@ from fractions import Fraction
 
 from modclass.frobenius import DegenerateFormError, _gram, invert_cochain, mu_from_xi
 from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign, ce_differential
-from modclass.linalg import Matrix, SingularMatrixError, Vector, invert, kernel_basis
+from modclass.linalg import Matrix, SingularMatrixError, Vector, dense, invert, kernel_basis
 from modclass.twisted import TwistedTriangularStructure
+
+
+def entries(m: Matrix) -> tuple[Vector, ...]:
+    """The dense rows of a matrix."""
+    return tuple(dense(r, m.cols) for r in m.sparse_rows)
+
+
+def column(m: Matrix, j: int) -> Vector:
+    return tuple(r.get(j, Fraction(0)) for r in m.sparse_rows)
+
+
+def from_columns(columns) -> Matrix:
+    """The matrix with the given dense columns."""
+    if not columns:
+        return Matrix([])
+    return Matrix([[col[i] for col in columns] for i in range(len(columns[0]))])
 
 
 def dot(x, y) -> Fraction:
@@ -54,17 +74,17 @@ def mat_apply(m: Matrix, x) -> Vector:
     """Matrix-vector product."""
     if len(x) != m.cols:
         raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} vs {len(x)}")
-    return tuple(dot(r, x) for r in m.entries)
+    return tuple(dot(r, x) for r in entries(m))
 
 
 def mat_trace(m: Matrix) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("trace of a non-square matrix")
-    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
+    return sum((m.sparse_rows[i].get(i, Fraction(0)) for i in range(m.rows)), Fraction(0))
 
 
 def mat_is_zero(m: Matrix) -> bool:
-    return all(x == 0 for row in m.entries for x in row)
+    return not any(m.sparse_rows)
 
 
 def dense_bracket(g: LieAlgebra, x, y) -> Vector:
@@ -87,24 +107,24 @@ def dense_bracket(g: LieAlgebra, x, y) -> Vector:
 
 def ad_matrix(g: LieAlgebra, x) -> Matrix:
     """Matrix of ad_x = [x, .] in the basis."""
-    return Matrix.from_columns([dense_bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
+    return from_columns([dense_bracket(g, x, g.basis_vector(j)) for j in range(g.dim)])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in matrix product")
-    cols = [b.column(j) for j in range(b.cols)]
-    return Matrix([[dot(r, c) for c in cols] for r in a.entries])
+    cols = [column(b, j) for j in range(b.cols)]
+    return Matrix([[dot(r, c) for c in cols] for r in entries(a)])
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
+    return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(entries(a), entries(b))])
 
 
 def mat_neg(a: Matrix) -> Matrix:
-    return Matrix([[-x for x in r] for r in a.entries])
+    return Matrix([[-x for x in r] for r in entries(a)])
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -282,7 +302,7 @@ def r_sharp_matrix(g: LieAlgebra, r: Multivector) -> Matrix:
     for (i, j), c in r.terms.items():
         cols[i][j] = c
         cols[j][i] = -c
-    return Matrix.from_columns(cols)
+    return from_columns(cols)
 
 
 def invert_bivector(p, r: Multivector) -> Cochain:
@@ -305,13 +325,13 @@ def invert_bivector(p, r: Multivector) -> Cochain:
             coeff[t][s] = -val
     cmat = Matrix(coeff)
     try:
-        gram = invert(cmat)
+        gram = entries(invert(cmat))
     except SingularMatrixError:
         witness = p.from_coords(kernel_basis(cmat)[0])
         raise DegenerateFormError("bivector is degenerate on the subalgebra", witness)
     terms = {}
     for s, t in itertools.combinations(range(n), 2):
-        g = -gram[s, t]
+        g = -gram[s][t]
         if g != 0:
             terms[(s, t)] = g
     return Cochain(n, 2, terms)

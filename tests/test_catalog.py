@@ -8,14 +8,18 @@ from modclass.catalog import (
     entry_names,
     get_entry,
     gg_example,
+    gg_r_matrix,
     gl,
     q_example,
+    q_mu,
+    q_printed_psi,
+    q_printed_r,
     q_psi_discrepancy,
     sl,
 )
-from modclass.liealg import LieAlgebra, Multivector, ce_differential, check_jacobi
+from modclass.liealg import Cochain, LieAlgebra, Multivector, ce_differential, check_jacobi
 from modclass.linalg import Matrix, solve
-from oracles import dense_bracket, mat_sub, matmul
+from oracles import dense_bracket, entries, from_columns, mat_sub, matmul
 
 def F(x):
     return Fraction(x)
@@ -28,13 +32,12 @@ def F(x):
 def matrix_basis_algebra(labels, matrices):
     """Structure constants from a basis of square matrices (exact arithmetic)."""
     mats = [Matrix(m) for m in matrices]
-    size = mats[0].rows
-    flats = [[m[i, j] for i in range(size) for j in range(size)] for m in mats]
-    basis = Matrix.from_columns(flats)
+    flats = [[x for row in entries(m) for x in row] for m in mats]
+    basis = from_columns(flats)
     table = {}
     for a, b in itertools.combinations(range(len(mats)), 2):
         comm = mat_sub(matmul(mats[a], mats[b]), matmul(mats[b], mats[a]))
-        flat = [comm[i, j] for i in range(size) for j in range(size)]
+        flat = [x for row in entries(comm) for x in row]
         coords = solve(basis, flat).vector
         entry = {k: c for k, c in enumerate(coords) if c != 0}
         if entry:
@@ -223,6 +226,76 @@ class TestGGEntries:
         p = entry.subalgebra
         xi = p.restrict_cochain(entry.xi)
         assert invert_cochain(p, mu_from_xi(p, xi)) == entry.structure.r
+
+
+# The closed forms as sums of wedges of basis elements, one ``+`` per term:
+# the catalog builds each from one list of terms instead.
+
+
+def wedge_sum_q_form(g, n, kind):
+    e = lambda i, j: kind.basis(g.dim, g.index(f"e{i}{j}"))
+    out = kind.zero(g.dim, 2)
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            out = out + e(i, j).wedge(e(j, i))
+    for i in range(1, n):
+        out = out + e(i, i).wedge(e(i, n))
+    return out
+
+
+def wedge_sum_q_psi(g, n):
+    c = lambda i, j: Cochain.basis(g.dim, g.index(f"e{i}{j}"))
+    out = Cochain.zero(g.dim, 3)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            sign = (i > j) - (i < j)
+            if sign == 0:
+                continue
+            for k in range(1, n + 1):
+                out = out + sign * c(i, k).wedge(c(k, j)).wedge(c(j, i))
+    for i in range(1, n):
+        for k in range(1, n):
+            if i != k:
+                out = out + c(i, k).wedge(c(k, i)).wedge(c(i, n))
+    for i in range(1, n):
+        for k in range(1, n):
+            out = out - c(i, i).wedge(c(i, k)).wedge(c(k, n))
+    return out
+
+
+def wedge_sum_gg_r(g, n):
+    v = lambda i, j: Multivector.basis(g.dim, g.index(f"e{i}{j}"))
+
+    def diag_weight(k):
+        out = Multivector.zero(g.dim, 1)
+        for i in range(1, n):
+            coeff = Fraction(i * (n - k), n) if i <= k else Fraction(k * (n - i), n)
+            if coeff != 0:
+                out = out + coeff * Multivector.basis(g.dim, g.index(f"h{i}"))
+        return out
+
+    out = Multivector.zero(g.dim, 2)
+    for k in range(1, n):
+        out = out + diag_weight(k).wedge(v(k, k + 1))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for m in range(1, j - i):
+                out = out + v(i, j - m + 1).wedge(v(j, i + m))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_forms_match_wedge_sums(n):
+    g = gl(n)
+    assert q_mu(g, n) == wedge_sum_q_form(g, n, Cochain)
+    assert q_printed_r(g, n) == wedge_sum_q_form(g, n, Multivector)
+    assert q_printed_psi(g, n) == wedge_sum_q_psi(g, n)
+    s = sl(n)
+    assert gg_r_matrix(s, n) == wedge_sum_gg_r(s, n)
+    xi = Cochain.zero(s.dim, 1)
+    for i in range(1, n):
+        xi = xi + Cochain.basis(s.dim, s.index(f"e{i}{i + 1}"))
+    assert gg_example(n).xi == xi
 
 
 class TestRegistry:

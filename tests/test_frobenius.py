@@ -26,7 +26,9 @@ from modclass.liealg import (
 from modclass.linalg import invert
 from oracles import (
     FrobeniusCheck,
+    column,
     dense_bracket,
+    entries,
     gram_by_coefficient,
     invert_bivector,
     is_frobenius,
@@ -106,11 +108,11 @@ class TestIsFrobenius:
 
 def invert_cochain_by_wedges(p, mu):
     """Oracle: the bivector as a sum of Multivector wedges of carrier basis vectors."""
-    coeff = invert(_gram(p, mu))
+    coeff = entries(invert(_gram(p, mu)))
     basis = [Multivector(p.parent.dim, 1, {(i,): c for i, c in enumerate(b)}) for b in p.basis]
     out = Multivector.zero(p.parent.dim, 2)
     for s, t in itertools.combinations(range(p.dim), 2):
-        out = out + -coeff[s, t] * basis[s].wedge(basis[t])
+        out = out + -coeff[s][t] * basis[s].wedge(basis[t])
     return out
 
 
@@ -185,7 +187,7 @@ class TestInvertCochain:
         r = invert_cochain(p, p.restrict_cochain(mu_g))
         sharp = r_sharp_matrix(g, r)
         for a, b in itertools.combinations(range(g.dim), 2):
-            lhs = mu_g.evaluate(sharp.column(a), sharp.column(b))
+            lhs = mu_g.evaluate(column(sharp, a), column(sharp, b))
             rhs = r.coefficient(a, b)
             assert lhs == rhs
 

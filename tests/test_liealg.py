@@ -33,7 +33,10 @@ from oracles import (
     ad_matrix,
     ce_differential_fraction,
     closure_table,
+    column,
     dense_bracket,
+    entries,
+    from_columns,
     mat_add,
     mat_is_zero,
     mat_sub,
@@ -676,7 +679,7 @@ class Representation:
             expected = zeros(self.space_dim, self.space_dim)
             for k, c in algebra.bracket_basis(s, t).items():
                 expected = mat_add(
-                    expected, Matrix([[c * x for x in row] for row in self.matrices[k].entries])
+                    expected, Matrix([[c * x for x in row] for row in entries(self.matrices[k])])
                 )
             ms, mt = self.matrices[s], self.matrices[t]
             commutator = mat_sub(matmul(ms, mt), matmul(mt, ms))
@@ -701,7 +704,7 @@ def quotient_rep(g, p) -> Representation:
     mats = []
     for b in p.basis:
         cols = [quotient_coords(p, dense_bracket(g, b, g.basis_vector(q))) for q in p.complement]
-        mats.append(Matrix.from_columns(cols) if p.complement else Matrix([]))
+        mats.append(from_columns(cols) if p.complement else Matrix([]))
     return Representation(p, mats)
 
 
@@ -709,7 +712,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
     """Coadjoint action <X.gamma, Y> = -<gamma, [X, Y]> on an invariant subspace."""
     covs = [c.to_vector() for c in subspace]
     if covs:
-        span = Matrix.from_columns(covs)
+        span = from_columns(covs)
     mats = []
     for b in p.basis:
         cols = []
@@ -722,7 +725,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
                 cols.append(solve(span, image).vector)
             except ValueError as exc:
                 raise NotInvariantError((b, gamma, image)) from exc
-        mats.append(Matrix.from_columns(cols) if covs else Matrix([]))
+        mats.append(from_columns(cols) if covs else Matrix([]))
     return Representation(p, mats)
 
 
@@ -765,7 +768,7 @@ class TestRepresentations:
         rep = coadjoint_subrep(g, p, covs)
         for s, b in enumerate(p.basis):
             for u, gamma in enumerate(covs):
-                image = rep.matrices[s].column(u)
+                image = column(rep.matrices[s], u)
                 recovered = [Fraction(0)] * g.dim
                 for v, c in enumerate(image):
                     for k, cv in enumerate(covs[v].to_vector()):

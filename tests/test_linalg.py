@@ -13,7 +13,7 @@ from modclass.linalg import (
     rref,
     solve,
 )
-from oracles import identity, mat_apply, matmul
+from oracles import entries, identity, mat_apply, matmul
 
 
 def F(x):
@@ -31,6 +31,25 @@ class TestRat:
             rat(1.5)
         with pytest.raises(ValueError):
             rat("1.5")
+
+
+class TestMatrix:
+    def test_dense_and_sparse_rows_agree(self):
+        dense_rows = Matrix([[0, "1/2", 0], [3, 0, 0]])
+        sparse_rows = Matrix([{1: F(1) / 2}, {0: 3, 2: 0}], 3)
+        assert dense_rows == sparse_rows
+        assert sparse_rows.sparse_rows == ({1: F(1) / 2}, {0: F(3)})
+        assert entries(sparse_rows) == ((F(0), F(1) / 2, F(0)), (F(3), F(0), F(0)))
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]], 3)
+        with pytest.raises(ValueError):
+            Matrix([{3: 1}], 3)
+        with pytest.raises(TypeError):
+            Matrix([[1.5]])
 
 
 class TestRref:
@@ -142,7 +161,7 @@ def test_solve_substitution_exact(m, raw):
         s = solve(m, b)
     except NoSolutionError:
         # inconsistent exactly when b raises the rank
-        augmented = Matrix([list(row) + [x] for row, x in zip(m.entries, b)])
+        augmented = Matrix([list(row) + [x] for row, x in zip(entries(m), b)])
         assert rref(augmented).rank > rref(m).rank
         return
     assert mat_apply(m, s.vector) == tuple(b)

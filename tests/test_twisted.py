@@ -35,6 +35,7 @@ from modclass.twisted import (
 )
 from oracles import (
     ad_matrix,
+    column,
     cybe_lhs_trivector_fraction,
     dense_bracket,
     dense_sharp_apply,
@@ -52,7 +53,7 @@ def F(x):
 def cybe_lhs_direct(g, r):
     """Triple-loop evaluation of the Yang-Baxter trivector; the oracle."""
     sharp = r_sharp_matrix(g, r)
-    cols = [sharp.column(a) for a in range(g.dim)]
+    cols = [column(sharp, a) for a in range(g.dim)]
     terms = {}
     for a, b, c in itertools.combinations(range(g.dim), 3):
         val = (
@@ -67,7 +68,7 @@ def cybe_lhs_direct(g, r):
 
 def psi_pullback_direct(g, r, psi):
     sharp = r_sharp_matrix(g, r)
-    cols = [sharp.column(a) for a in range(g.dim)]
+    cols = [column(sharp, a) for a in range(g.dim)]
     terms = {}
     for a, b, c in itertools.combinations(range(g.dim), 3):
         val = psi.evaluate(cols[a], cols[b], cols[c])
@@ -81,7 +82,7 @@ def psi_pullback_by_wedges(g, r, psi):
     sharp = r_sharp_matrix(g, r)
     # row i of r#, the pullback of e_i*, is minus column i
     rows = [
-        Multivector(g.dim, 1, {(a,): -c for a, c in enumerate(sharp.column(i))})
+        Multivector(g.dim, 1, {(a,): -c for a, c in enumerate(column(sharp, i))})
         for i in range(g.dim)
     ]
     out = Multivector.zero(g.dim, 3)
@@ -118,7 +119,7 @@ class TestRSharp:
             r = random_multivector(rng, g.dim, 2)
             sharp = r_sharp_matrix(g, r)
             for a, b in itertools.combinations(range(g.dim), 2):
-                assert sharp[a, b] == -sharp[b, a]
+                assert column(sharp, b)[a] == -column(sharp, a)[b]
 
     def test_matrix_matches_interior_product(self):
         from modclass.liealg import interior
@@ -130,7 +131,7 @@ class TestRSharp:
             sharp = r_sharp_matrix(g, r)
             for a in range(4):
                 via_interior = interior(Cochain.basis(4, a), r)
-                assert sharp.column(a) == via_interior.to_vector()
+                assert column(sharp, a) == via_interior.to_vector()
 
 
 class TestCybeOracle:
@@ -259,7 +260,7 @@ def dual_bracket_oracle(st, alpha, beta):
     av, bv = alpha.to_vector(), beta.to_vector()
     out = []
     for j in range(g.dim):
-        val = -dot(bv, ad_x.column(j)) + dot(av, ad_y.column(j))
+        val = -dot(bv, column(ad_x, j)) + dot(av, column(ad_y, j))
         val += st.psi.evaluate(x, y, g.basis_vector(j))
         out.append(val)
     return Cochain.from_covector(out)
@@ -320,7 +321,8 @@ def kernel_check_oracle(st):
     """carrier_and_kernel's ideal and abelian checks, one dual_bracket call
     per pair; returns the failing check's name or None."""
     g = st.g
-    carrier = span_subalgebra(g, [st.sharp.column(a) for a in range(g.dim)])
+    sharp = r_sharp_matrix(g, st.r)
+    carrier = span_subalgebra(g, [column(sharp, a) for a in range(g.dim)])
     kernel = annihilator(g, carrier)
     for k in kernel:
         for b in range(g.dim):
@@ -459,7 +461,8 @@ class TestCarrierAndKernel:
         entry = q_entries[n]
         p, kernel = carrier_and_kernel(entry.structure)
         assert p.basis == entry.subalgebra.basis
-        assert kernel == [Cochain.from_covector(w) for w in kernel_basis(entry.structure.sharp)]
+        sharp = r_sharp_matrix(entry.g, entry.structure.r)
+        assert kernel == [Cochain.from_covector(w) for w in kernel_basis(sharp)]
 
     def test_kernel_is_null_space_of_sharp(self, affine_entry, gg_entries):
         # ann(carrier) is computed from the carrier basis, the null space
@@ -470,7 +473,8 @@ class TestCarrierAndKernel:
         structures += [linearize(*make_random_linearize_input(rng)) for _ in range(10)]
         for st in structures:
             _, kernel = carrier_and_kernel(st)
-            assert kernel == [Cochain.from_covector(w) for w in kernel_basis(st.sharp)]
+            sharp = r_sharp_matrix(st.g, st.r)
+            assert kernel == [Cochain.from_covector(w) for w in kernel_basis(sharp)]
 
     @pytest.mark.parametrize("name", ["affine", "q2", "q3", "q4", "gg2", "gg3", "gg4"])
     def test_kernel_is_abelian_ideal(self, name, affine_entry, q_entries, gg_entries):
@@ -606,7 +610,7 @@ class TestRelations:
         theta = modular_class(st).representative
         mod_g = trace_adjoint(g).to_vector()
         mod_dual = trace_adjoint(dual_lie_algebra(st, check=False)).to_vector()
-        sharp = st.sharp
+        sharp = r_sharp_matrix(st.g, st.r)
         for a in range(g.dim):
-            pull = dot(mod_g, sharp.column(a))
+            pull = dot(mod_g, column(sharp, a))
             assert 2 * theta[a] == mod_dual[a] - pull
