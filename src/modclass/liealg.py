@@ -18,13 +18,19 @@ Orientation conventions used consistently in this package:
   inversion and the Yang-Baxter verification in this package mutually
   consistent.
 
-The Jacobi identity is checked pair by pair, not triple by triple: each
-nonzero table entry [e_a, e_b] and each nonzero bracket of one of its
-terms with a third basis vector e_c gives one product [[e_a, e_b], e_c],
-which is added, signed, to the jacobiator of the sorted triple; triples
-that no nonzero product reaches are never visited.  The sums run on
-Python ints, over the table scaled by the lcm D of its denominators, and
-since J(D c) = D^2 J(c) they vanish exactly where the rational ones do.
+Every exact sum over the bracket table runs on Python ints, over one
+``IntegerTable`` per algebra: the table scaled by the lcm D of its
+denominators, built once on first use (``LieAlgebra.integer_table``),
+each part only when a computation asks for it.  The Jacobi identity is
+checked as d d e*_m = 0 for every m, one pair of table terms at a time,
+not triple by triple: triples that no nonzero product reaches are never
+visited, and since J(D c) = D^2 J(c) the integer sums vanish exactly
+where the rational ones do.  ``ce_differential`` reads the same
+by-output index as the Jacobi check, with one accumulator per
+denominator of the cochain's terms.
+
+A ``Multivector`` or ``Cochain`` keeps a term's Fraction as given when its
+sorted index slot is new, and adds or subtracts only when a slot repeats.
 
 Vectors are the ``SparseVec`` dicts of ``linalg``: ``LieAlgebra.bracket``
 takes and returns them, and a ``Subalgebra`` is built from the sparse rows
@@ -49,15 +55,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, SparseVec, Vector, dense, null_space, rat, rref, sparse
-
-
-def _denominator_lcm(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(c.denominator for c in values))
 
 
 class JacobiViolationError(ValueError):
@@ -101,10 +103,52 @@ class JacobiReport:
     residual: Vector | None = None
 
 
+class IntegerTable:
+    """The bracket table scaled to integers by D, the lcm of its denominators.
+
+    ``LieAlgebra.integer_table`` builds it once per algebra, and each part
+    on first use, so an algebra that is only checked for Jacobi keeps only
+    the index that check reads:
+
+    * ``entries[(i, j)]`` is D [e_i, e_j] for i < j, as {m: int};
+    * ``by_output[m]`` lists (i, j, w) with w the e_m-coefficient of
+      D [e_i, e_j], so D d e*_m = sum of w e*_i ^ e*_j.
+    """
+
+    __slots__ = ("scale", "_dim", "_table", "_entries", "_by_output")
+
+    def __init__(self, dim: int, table: dict[tuple[int, int], SparseVec]):
+        self._dim = dim
+        self._table = table
+        self.scale = math.lcm(*(c.denominator for entry in table.values() for c in entry.values()))
+        self._entries: dict[tuple[int, int], dict[int, int]] | None = None
+        self._by_output: list[list[tuple[int, int, int]]] | None = None
+
+    def _scaled(self, entry: SparseVec) -> dict[int, int]:
+        scale = self.scale
+        return {m: c.numerator * (scale // c.denominator) for m, c in entry.items()}
+
+    @property
+    def entries(self) -> dict[tuple[int, int], dict[int, int]]:
+        if self._entries is None:
+            self._entries = {key: self._scaled(entry) for key, entry in self._table.items()}
+        return self._entries
+
+    @property
+    def by_output(self) -> list[list[tuple[int, int, int]]]:
+        if self._by_output is None:
+            out: list[list[tuple[int, int, int]]] = [[] for _ in range(self._dim)]
+            for (i, j), entry in self._table.items():
+                for m, w in self._scaled(entry).items():
+                    out[m].append((i, j, w))
+            self._by_output = out
+        return self._by_output
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("dim", "labels", "table", "_index", "_adj")
+    __slots__ = ("dim", "labels", "table", "_index", "_adj", "_ints")
 
     def __init__(
         self,
@@ -131,6 +175,7 @@ class LieAlgebra:
         object.__setattr__(self, "table", clean)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_ints", None)
         if check:
             report = self.check_jacobi()
             if not report.ok:
@@ -173,6 +218,13 @@ class LieAlgebra:
             object.__setattr__(self, "_adj", [tuple(a) for a in adj])
         return self._adj
 
+    def integer_table(self) -> IntegerTable:
+        """The table scaled to integers (see ``IntegerTable``); built once and
+        cached.  Every integer pass over the table reads it."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", IntegerTable(self.dim, self.table))
+        return self._ints
+
     def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
         """[x, y] of two sparse vectors; the result stores no zeros."""
         adj = self.adjacency()
@@ -204,44 +256,48 @@ class LieAlgebra:
         return tuple(out)
 
     def check_jacobi(self) -> JacobiReport:
-        """Jacobi identity on every basis triple, in one pass over the nonzero products.
+        """Jacobi identity on every basis triple, as d d e*_m = 0 for every m.
 
-        The jacobiator of i < j < k sums [[e_a, e_b], e_c] over its three
-        pairs a < b, with c the remaining index, signed +1 when c > b or
-        c < a and -1 when a < c < b.  Each table entry (a, b) -> {m: c_m}
-        and each nonzero [e_m, e_c] with c not in {a, b} add one such
-        product to their triple.  The table is scaled by D, the lcm of its
-        denominators, and J(D c) = D^2 J(c), so the integer sums vanish
-        exactly where the rational ones do.  The witness is the
+        d extends to 2-cochains as an antiderivation, d(e*_i ^ e*_j) =
+        d e*_i ^ e*_j - e*_i ^ d e*_j, and the (a, b, c)-coefficient of
+        d d e*_m is, up to a sign, the e_m-coefficient of the jacobiator of
+        a < b < c; so a triple fails exactly when it has a nonzero
+        coefficient in some d d e*_m.  Each term (i, j, w) of d e*_m and
+        each term of d e*_i or d e*_j make one product of two table
+        entries; triples that no product reaches are never visited.  The
+        sums run on ints, over ``IntegerTable.by_output``, the table scaled
+        by D, the lcm of its denominators, and J(D c) = D^2 J(c), so they
+        vanish exactly where the rational ones do.  The witness is the
         lexicographically first failing triple, with its ``jacobiator``.
         """
-        scale = _denominator_lcm(c for entry in self.table.values() for c in entry.values())
-        ints = {
-            key: {m: c.numerator * (scale // c.denominator) for m, c in entry.items()}
-            for key, entry in self.table.items()
-        }
-        adj: list[list[tuple[int, dict[int, int], int]]] = [[] for _ in range(self.dim)]
-        for (i, j), entry in ints.items():
-            adj[i].append((j, entry, 1))
-            adj[j].append((i, entry, -1))
-        acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a, b), outer in ints.items():
-            for m, cm in outer.items():
-                for c, inner, s in adj[m]:
-                    if c > b:
-                        key, f = (a, b, c), s * cm
-                    elif c < a:
-                        key, f = (c, a, b), s * cm
-                    elif a < c < b:
-                        key, f = (a, c, b), -s * cm
+        d1 = self.integer_table().by_output
+        failing: set[tuple[int, int, int]] = set()
+        for terms in d1:
+            acc: dict[tuple[int, int, int], int] = {}
+            for i, j, w in terms:
+                # d e*_i ^ e*_j: put j into the sorted pair (p, q)
+                for p, q, v in d1[i]:
+                    if j > q:
+                        key, x = (p, q, j), w * v
+                    elif j < p:
+                        key, x = (j, p, q), w * v
+                    elif p < j < q:
+                        key, x = (p, j, q), -w * v
                     else:
                         continue
-                    res = acc.get(key)
-                    if res is None:
-                        res = acc[key] = {}
-                    for t, ct in inner.items():
-                        res[t] = res.get(t, 0) + f * ct
-        failing = [key for key, res in acc.items() if any(res.values())]
+                    acc[key] = acc.get(key, 0) + x
+                # -e*_i ^ d e*_j: put i into the sorted pair (p, q)
+                for p, q, v in d1[j]:
+                    if i < p:
+                        key, x = (i, p, q), -w * v
+                    elif i > q:
+                        key, x = (p, q, i), -w * v
+                    elif p < i < q:
+                        key, x = (p, i, q), w * v
+                    else:
+                        continue
+                    acc[key] = acc.get(key, 0) + x
+            failing.update(key for key, x in acc.items() if x)
         if failing:
             triple = min(failing)
             return JacobiReport(False, triple, self.jacobiator(*triple))
@@ -306,22 +362,32 @@ class _Alternating:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple[int, ...], Fraction] = {}
         for idx, coeff in items:
-            coeff = rat(coeff)
-            if coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = rat(coeff)
+            if not coeff:
                 continue
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-            if any(not 0 <= a < dim for a in idx):
+            # an increasing tuple is its own sorted slot, with sign +1
+            sidx, sign = idx, 1
+            for t in range(1, degree):
+                if idx[t - 1] >= idx[t]:
+                    sidx, sign = _sort_with_sign(idx)
+                    break
+            if degree and not (0 <= sidx[0] and sidx[-1] < dim):
                 raise ValueError(f"index out of range in {idx}")
-            sidx, sign = _sort_with_sign(idx)
-            if sign == 0:
+            if not sign:
                 continue
-            new = clean.get(sidx, Fraction(0)) + sign * coeff
-            if new == 0:
-                clean.pop(sidx, None)
+            old = clean.get(sidx)
+            if old is None:
+                clean[sidx] = coeff if sign > 0 else -coeff
             else:
-                clean[sidx] = new
+                new = old + coeff if sign > 0 else old - coeff
+                if new:
+                    clean[sidx] = new
+                else:
+                    del clean[sidx]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
@@ -512,15 +578,13 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
     if c.degree == 0:
         return Cochain.zero(g.dim, 1)
     # the sums run on ints: the table scaled by T, the lcm of its
-    # denominators, and the terms of c grouped by denominator q, one
-    # accumulator of numerators per q, divided by q T at the end.  Catalog
-    # and generated cochains have one or two denominators; a cochain whose
-    # terms all have distinct long ones costs what a Fraction sum would.
-    tscale = _denominator_lcm(w for entry in g.table.values() for w in entry.values())
-    d1: list[list[tuple[int, int, int]]] = [[] for _ in range(g.dim)]
-    for (i, j), entry in g.table.items():
-        for m, w in entry.items():
-            d1[m].append((i, j, w.numerator * (tscale // w.denominator)))
+    # denominators (``integer_table``), and the terms of c grouped by
+    # denominator q, one accumulator of numerators per q, divided by q T at
+    # the end.  Catalog and generated cochains have one or two denominators;
+    # a cochain whose terms all have distinct long ones costs what a
+    # Fraction sum would.
+    view = g.integer_table()
+    tscale, d1 = view.scale, view.by_output
     groups: dict[int, dict[tuple[int, ...], int]] = {}
     for idx, coeff in c.terms.items():
         acc = groups.setdefault(coeff.denominator, {})

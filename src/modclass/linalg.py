@@ -18,8 +18,9 @@ one free-variable scheme, ``null_space``, shared with ``liealg``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 # Exact rationals: always lowest terms, positive denominator, zero is 0/1.
 # The stdlib Fraction already guarantees every invariant we need.

@@ -12,6 +12,13 @@ regression test; together with this package's differential orientation it
 makes the linearization constructor, the Yang-Baxter check and the dual
 Lie algebra mutually consistent.
 
+The Yang-Baxter check runs on ints.  T(r) reads the table scaled by D,
+the lcm of its denominators (``LieAlgebra.integer_table``), and the
+pullback of psi keeps one accumulator for each product of the
+denominators of its four factors.  ``verify_twisted_cybe`` adds T(r) and
+-CYBE_SIGN times the pullback into the same accumulators in one pass, and
+builds the residual as one Multivector.
+
 The map r# is kept once, as sparse columns (``sharp_columns``), and no
 dense matrix of it is built: the carrier p = im r# is the row reduction of
 the matrix whose rows are those columns.  The modular class is the image
@@ -33,8 +40,6 @@ from .liealg import (
     LieAlgebra,
     Multivector,
     Subalgebra,
-    _denominator_lcm,
-    _sort_with_sign,
     annihilator,
     ce_differential,
     closed_subalgebra,
@@ -77,25 +82,15 @@ def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
     return cols
 
 
-def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
-    """The Yang-Baxter trivector T(r), via the decomposable-pair expansion.
+# numerators of a trivector, one accumulator per denominator
+_Groups = dict[int, dict[tuple[int, int, int], int]]
 
-    For r = sum c_u x_u ^ y_u over basis wedges,
-    2 T(r) = sum over pairs (u, v) of c_u c_v (
-        [x_u, x_v] ^ y_u ^ y_v + [y_u, y_v] ^ x_u ^ x_v
-        - [x_u, y_v] ^ y_u ^ x_v - [y_u, x_v] ^ x_u ^ y_v).
-    The (u, v) and (v, u) terms are equal, so the sum visits u <= v and
-    weights u < v by 2.  It runs on ints: the table scaled by D, the lcm of
-    its denominators, and one accumulator of numerators per denominator
-    q of c_u c_v, divided by 2 q D at the end, as in ``ce_differential``.
-    """
-    tscale = _denominator_lcm(c for entry in g.table.values() for c in entry.values())
-    table = {
-        key: {m: c.numerator * (tscale // c.denominator) for m, c in entry.items()}
-        for key, entry in g.table.items()
-    }
+
+def _add_cybe(g: LieAlgebra, r: Multivector, groups: _Groups) -> None:
+    """Add 2 D T(r) to ``groups``, one accumulator of numerators per
+    denominator q of c_u c_v (see ``cybe_lhs_trivector``)."""
+    table = g.integer_table().entries
     terms = list(r.terms.items())
-    groups: dict[int, dict[tuple[int, int, int], int]] = {}
 
     def put(acc, i: int, j: int, a: int, b: int, f: int):
         # add f [e_i, e_j] ^ e_a ^ e_b, sorting each index triple inline
@@ -130,43 +125,123 @@ def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
             put(acc, yu, yv, xu, xv, s)
             put(acc, xu, yv, yu, xv, -s)
             put(acc, yu, xv, xu, yv, -s)
-    out: dict[tuple[int, int, int], Fraction] = {}
+
+
+def _add_pullback(
+    r: Multivector, psi: Cochain, weight: Fraction, unit: int, groups: _Groups
+) -> None:
+    """Add unit * weight * psi(r#., r#., r#.) to ``groups``.
+
+    Row i of the r# matrix, seen as a vector on the dual side, is the
+    pullback of the i-th basis covector along r#; the matrix is skew, so
+    that row is minus column i.  Each term c e_i* ^ e_j* ^ e_k* of psi pulls
+    back to c row_i ^ row_j ^ row_k.  A product of four factors adds its
+    numerator to the accumulator of the product q of their denominators.
+    """
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(r.dim)]
+    for (i, j), c in r.terms.items():
+        rows[i].append((j, -c.numerator, c.denominator))
+        rows[j].append((i, c.numerator, c.denominator))
+    for (i, j, k), c in psi.terms.items():
+        c = weight * c
+        cn, cd = c.numerator * unit, c.denominator
+        third = rows[k]
+        for a, an, ad in rows[i]:
+            for b, bn, bd in rows[j]:
+                # sort (a, b) inline, then place d into the pair
+                if a < b:
+                    lo, hi, f = a, b, cn * an * bn
+                elif b < a:
+                    lo, hi, f = b, a, -cn * an * bn
+                else:
+                    continue
+                q = cd * ad * bd
+                for d, dn, dd in third:
+                    if d < lo:
+                        key, v = (d, lo, hi), f * dn
+                    elif lo < d < hi:
+                        key, v = (lo, d, hi), -f * dn
+                    elif d > hi:
+                        key, v = (lo, hi, d), f * dn
+                    else:
+                        continue
+                    acc = groups.get(q * dd)
+                    if acc is None:
+                        acc = groups[q * dd] = {}
+                    acc[key] = acc.get(key, 0) + v
+
+
+def _trivector(dim: int, groups: _Groups, unit: int) -> Multivector:
+    """The trivector whose numerators ``groups`` holds, over q * unit.
+
+    A key's parts over different denominators are summed pairwise, so
+    that no partial sum carries the denominators of all the others.
+    """
+    parts: dict[tuple[int, int, int], list[Fraction]] = {}
     for q, acc in groups.items():
         for key, v in acc.items():
             if v:
-                out[key] = out.get(key, 0) + Fraction(v, 2 * q * tscale)
-    return Multivector(g.dim, 3, out)
+                parts.setdefault(key, []).append(Fraction(v, q * unit))
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for key, fs in parts.items():
+        while len(fs) > 1:
+            pairs = [a + b for a, b in zip(fs[::2], fs[1::2])]
+            fs = pairs + fs[-1:] if len(fs) % 2 else pairs
+        out[key] = fs[0]
+    return Multivector(dim, 3, out)
 
 
-def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
-    """The trivector (a, b, c) -> psi(r#a, r#b, r#c)."""
+def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
+    """The Yang-Baxter trivector T(r), via the decomposable-pair expansion.
+
+    For r = sum c_u x_u ^ y_u over basis wedges,
+    2 T(r) = sum over pairs (u, v) of c_u c_v (
+        [x_u, x_v] ^ y_u ^ y_v + [y_u, y_v] ^ x_u ^ x_v
+        - [x_u, y_v] ^ y_u ^ x_v - [y_u, x_v] ^ x_u ^ y_v).
+    The (u, v) and (v, u) terms are equal, so the sum visits u <= v and
+    weights u < v by 2.  It runs on ints: the table scaled by D, the lcm of
+    its denominators (``LieAlgebra.integer_table``), and one accumulator of
+    numerators per denominator q of c_u c_v, divided by 2 q D at the end,
+    as in ``ce_differential``.
+    """
+    groups: _Groups = {}
+    _add_cybe(g, r, groups)
+    return _trivector(g.dim, groups, 2 * g.integer_table().scale)
+
+
+def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain) -> None:
     if psi.degree != 3 or psi.dim != g.dim:
         raise ValueError("psi must be a 3-cochain on the algebra")
     if r.degree != 2 or r.dim != g.dim:
         raise ValueError("r must be a bivector on the algebra")
-    # row i of the r# matrix, seen as a vector on the dual side, is the
-    # pullback of the i-th basis covector along r#; the matrix is skew, so
-    # that row is minus column i.  Each term c e_i* ^ e_j* ^ e_k* of psi
-    # pulls back to c row_i ^ row_j ^ row_k, summed into one dict.
-    rows = [{a: -v for a, v in col.items()} for col in _sharp_columns(r)]
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for (i, j, k), c in psi.terms.items():
-        for a, xa in rows[i].items():
-            for b, yb in rows[j].items():
-                if a == b:
-                    continue
-                cxy = c * xa * yb
-                for d, zd in rows[k].items():
-                    idx, sign = _sort_with_sign((a, b, d))
-                    if sign:
-                        acc[idx] = acc.get(idx, 0) + sign * cxy * zd
-    return Multivector(g.dim, 3, acc)
+
+
+def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
+    """The trivector (a, b, c) -> psi(r#a, r#b, r#c), summed on ints."""
+    _check_operands(g, r, psi)
+    groups: _Groups = {}
+    _add_pullback(r, psi, Fraction(1), 1, groups)
+    return _trivector(g.dim, groups, 1)
 
 
 @dataclass(frozen=True)
 class CybeResult:
     passed: bool
     residual: Multivector
+
+
+def _cybe_residual(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
+    """T(r) - CYBE_SIGN * (pullback of psi), summed in one pass.
+
+    Both parts add into the same accumulators, on the scale 2 D of
+    ``cybe_lhs_trivector``, so the residual is built as one Multivector.
+    """
+    _check_operands(g, r, psi)
+    unit = 2 * g.integer_table().scale
+    groups: _Groups = {}
+    _add_cybe(g, r, groups)
+    _add_pullback(r, psi, -CYBE_SIGN, unit, groups)
+    return _trivector(g.dim, groups, unit)
 
 
 def verify_twisted_cybe(g: LieAlgebra, r: Multivector, psi: Cochain) -> CybeResult:
@@ -178,7 +253,7 @@ def verify_twisted_cybe(g: LieAlgebra, r: Multivector, psi: Cochain) -> CybeResu
     dpsi = ce_differential(g, psi)
     if not dpsi.is_zero():
         raise PsiNotClosedError(dpsi)
-    residual = cybe_lhs_trivector(g, r) - CYBE_SIGN * psi_pullback_trivector(g, r, psi)
+    residual = _cybe_residual(g, r, psi)
     return CybeResult(residual.is_zero(), residual)
 
 

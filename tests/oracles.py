@@ -13,8 +13,12 @@ of these runs outside the test suite.
   dual bracket of two 1-cochains, against the sparse dual table;
 * ``is_frobenius``: degeneracy of xi([., .]) by its own elimination, against
   ``frobenius_modular``;
-* ``ce_differential_fraction`` and ``cybe_lhs_trivector_fraction``: the
-  Fraction loops through ``_sort_with_sign``, against the integer ones;
+* ``ce_differential_fraction``, ``cybe_lhs_trivector_fraction`` and
+  ``psi_pullback_trivector_fraction``: the Fraction loops through
+  ``_sort_with_sign``, against the integer ones;
+* ``alternating_terms``: the constructor loop of ``Multivector`` and
+  ``Cochain`` that made a Fraction sum for every term, against the one
+  that stores a new slot directly;
 * ``closure_table``: the structure constants of a subalgebra, bracketing
   every pair of dense basis vectors again;
 * ``restrict_by_evaluation`` and ``gram_by_coefficient``: the restriction
@@ -36,13 +40,14 @@ of these runs outside the test suite.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from modclass.frobenius import DegenerateFormError, _gram, invert_cochain, mu_from_xi
 from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign, ce_differential
-from modclass.linalg import Matrix, SingularMatrixError, Vector, dense, invert, kernel_basis
-from modclass.twisted import TwistedTriangularStructure
+from modclass.linalg import Matrix, SingularMatrixError, Vector, dense, invert, kernel_basis, rat
+from modclass.twisted import TwistedTriangularStructure, _sharp_columns
 
 
 def entries(m: Matrix) -> tuple[Vector, ...]:
@@ -259,6 +264,50 @@ def cybe_lhs_trivector_fraction(g: LieAlgebra, r: Multivector) -> Multivector:
             put(g.bracket_basis(xu, yv), yu, xv, -s)
             put(g.bracket_basis(yu, xv), xu, yv, -s)
     return Multivector(g.dim, 3, acc)
+
+
+def psi_pullback_trivector_fraction(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
+    """The trivector (a, b, c) -> psi(r#a, r#b, r#c), one Fraction product per term."""
+    rows = [{a: -v for a, v in col.items()} for col in _sharp_columns(r)]
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for (i, j, k), c in psi.terms.items():
+        for a, xa in rows[i].items():
+            for b, yb in rows[j].items():
+                if a == b:
+                    continue
+                cxy = c * xa * yb
+                for d, zd in rows[k].items():
+                    idx, sign = _sort_with_sign((a, b, d))
+                    if sign:
+                        acc[idx] = acc.get(idx, 0) + sign * cxy * zd
+    return Multivector(g.dim, 3, acc)
+
+
+def alternating_terms(dim: int, degree: int, terms=()) -> dict[tuple[int, ...], Fraction]:
+    """The terms the ``Multivector``/``Cochain`` constructor keeps: every
+    term coerced, range-checked, sorted with its sign and added in Fractions."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    clean: dict[tuple[int, ...], Fraction] = {}
+    for idx, coeff in items:
+        coeff = rat(coeff)
+        if coeff == 0:
+            continue
+        idx = tuple(idx)
+        if len(idx) != degree:
+            raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
+        if any(not 0 <= a < dim for a in idx):
+            raise ValueError(f"index out of range in {idx}")
+        sidx, sign = _sort_with_sign(idx)
+        if sign == 0:
+            continue
+        new = clean.get(sidx, Fraction(0)) + sign * coeff
+        if new == 0:
+            clean.pop(sidx, None)
+        else:
+            clean[sidx] = new
+    return clean
 
 
 def closure_table(p) -> dict[tuple[int, int], dict[int, Fraction]]:

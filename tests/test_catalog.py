@@ -159,7 +159,7 @@ class TestAffineEntry:
 
 
 class TestQEntries:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_expected_values_recompute(self, n, q_entries):
         entry = q_entries[n] if n in q_entries else q_example(n)
         assert entry.check_expected() == []
@@ -191,7 +191,7 @@ class TestQEntries:
 
 
 class TestGGEntries:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_expected_values_recompute(self, n, gg_entries):
         entry = gg_entries[n] if n in gg_entries else gg_example(n)
         assert entry.check_expected() == []

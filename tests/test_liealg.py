@@ -40,6 +40,7 @@ from oracles import (
     mat_add,
     mat_is_zero,
     mat_sub,
+    alternating_terms,
     mat_trace,
     matmul,
     restrict_by_evaluation,
@@ -119,6 +120,34 @@ class TestJacobi:
         )
         report = check_jacobi(g)
         assert not report.ok and report.triple == (0, 1, 2)
+
+
+class TestIntegerTable:
+    def test_scaled_entries_and_by_output(self):
+        g = LieAlgebra(
+            ["a", "b", "c", "d"],
+            {(0, 1): {1: F(1) / 2, 3: F(2) / 3}, (0, 2): {2: 5}, (1, 2): {3: F(-1) / 4}},
+            check=False,
+        )
+        view = g.integer_table()
+        assert view is g.integer_table()
+        assert view.scale == 12
+        assert view.entries == {
+            key: {m: c * 12 for m, c in entry.items()} for key, entry in g.table.items()
+        }
+        assert view.by_output == [[], [(0, 1, 6)], [(0, 2, 60)], [(0, 1, 8), (1, 2, -3)]]
+
+    def test_one_view_per_algebra(self, affine_entry):
+        # built by the Jacobi check at construction, read again by d and T(r)
+        from modclass.twisted import cybe_lhs_trivector
+
+        st = affine_entry.structure
+        g = LieAlgebra(st.g.labels, st.g.table)
+        view = g.integer_table()
+        ce_differential(g, st.psi)
+        cybe_lhs_trivector(g, st.r)
+        assert g.integer_table() is view
+        assert LieAlgebra([], {}).integer_table().scale == 1
 
 
 def jacobi_by_triples(g):
@@ -255,6 +284,79 @@ class TestWedge:
             b = random_cochain(rng, 5, 1)
             c = random_cochain(rng, 5, 2)
             assert a.wedge(b.wedge(c)) == (a.wedge(b)).wedge(c)
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from(["1/2", "-3", "0", " 2 ", "0/5", "2/0", "x", "1.5"]),
+    st.floats(-2, 2, width=16),
+)
+
+
+@st.composite
+def term_lists(draw):
+    """(dim, degree, terms): index tuples unsorted, repeated, out of range or
+    of the wrong length, coefficients of every accepted and rejected kind,
+    and terms that cancel an earlier one."""
+    dim = draw(st.integers(0, 4))
+    degree = draw(st.integers(-1, 3))
+    lengths = st.integers(max(degree - 1, 0), degree + 1)
+    indices = lengths.flatmap(lambda k: st.lists(st.integers(-1, dim), min_size=k, max_size=k))
+    terms = draw(st.lists(st.tuples(indices, COEFFICIENTS), max_size=8))
+    # reversing two or three indices is an odd permutation, so the reversed
+    # tuple with the same coefficient cancels the term
+    for idx, coeff in draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []:
+        terms.append((idx[::-1], coeff))
+    return dim, degree, terms
+
+
+def construction(cls, dim, degree, terms):
+    """The terms the constructor keeps, or the type of what it raised."""
+    try:
+        return cls(dim, degree, terms).terms
+    except Exception as exc:  # compared by type with the oracle's
+        return type(exc)
+
+
+def reference(dim, degree, terms):
+    try:
+        return alternating_terms(dim, degree, terms)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestAlternatingConstructor:
+    """The constructor that stores a new sorted slot directly, against the
+    loop that summed every term in Fractions (``oracles.alternating_terms``)."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(case=term_lists())
+    def test_matches_fraction_loop(self, case):
+        dim, degree, terms = case
+        expected = reference(dim, degree, terms)
+        for cls in (Multivector, Cochain):
+            assert construction(cls, dim, degree, terms) == expected
+            mapping = {tuple(idx): coeff for idx, coeff in terms}
+            assert construction(cls, dim, degree, mapping) == reference(dim, degree, mapping)
+        if isinstance(expected, dict):
+            assert all(type(c) is Fraction and c for c in expected.values())
+
+    def test_examples(self):
+        assert Cochain(4, 2, [((2, 1), 3), ((1, 2), "1/2")]).terms == {(1, 2): Fraction(-5, 2)}
+        assert Cochain(4, 2, [((1, 2), 3), ((2, 1), 3)]).terms == {}
+        assert Cochain(4, 3, [((3, 1, 2), 1), ((1, 1, 2), 5)]).terms == {(1, 2, 3): 1}
+        assert Cochain(4, 2, [((5, 1), 0)]).terms == {}
+        assert Cochain(1, 0, {(): 2}).terms == {(): 2}
+        for bad, error in [
+            ([((1, 5), 1)], ValueError),
+            ([((3, 3, 9), 1)], ValueError),
+            ([((0, 1, 2), 1)], ValueError),
+            ([((0, 1), 0.5)], TypeError),
+            ([((0, 1), "x")], ValueError),
+        ]:
+            with pytest.raises(error):
+                Cochain(4, 2, bad)
 
 
 class TestInterior:

@@ -2,7 +2,8 @@
 
 ``bench/tracer.py`` wraps the library's entry points by name and counts the
 cells of each elimination from the ``rows`` and ``cols`` of its first
-argument.  This test runs it over a fresh import of the library, as the
+argument.  The layers that a linearization passes through must each record
+time under their names.  This test runs it over a fresh import of the library, as the
 benchmark does, and restores the modules the rest of the suite imported.
 """
 
@@ -64,6 +65,11 @@ def test_tracer_counts_eliminations_and_uninstalls(fresh_library):
         tracer.uninstall()
     assert metrics["linalg.elim_calls"] > 0
     assert metrics["linalg.elim_cells"] > 0
+    # the Jacobi check, the differential and the Yang-Baxter check each ran
+    # under the name the tracer wraps; a refactor that routes around one
+    # would leave its layer at 0
+    for layer in ("twisted.cybe_s", "liealg.ce_differential_s", "liealg.jacobi_s"):
+        assert metrics[layer] > 0, layer
     after = namespace_snapshot(tracer_mod, lib)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_linearize_input, random_cochain, random_multivector
-from modclass.catalog import affine_algebra, gl
+from modclass.catalog import affine_algebra, gl, sl
 from modclass.frobenius import linearize
 from modclass.liealg import (
     Cochain,
@@ -23,6 +23,7 @@ from modclass.twisted import (
     PsiNotClosedError,
     StructureInvariantError,
     TwistedTriangularStructure,
+    _cybe_residual,
     _dual_table,
     carrier_and_kernel,
     cybe_lhs_trivector,
@@ -35,6 +36,7 @@ from modclass.twisted import (
 )
 from oracles import (
     ad_matrix,
+    ce_differential_fraction,
     column,
     cybe_lhs_trivector_fraction,
     dense_bracket,
@@ -42,6 +44,7 @@ from oracles import (
     dot,
     dual_bracket,
     mat_is_zero,
+    psi_pullback_trivector_fraction,
     r_sharp_matrix,
 )
 
@@ -167,6 +170,98 @@ class TestCybeOracle:
                 assert psi_pullback_trivector(g, r, psi) == psi_pullback_direct(
                     g, r, psi
                 )
+
+
+def assert_integer_residual(g, r, psi):
+    """The integer pullback and the one-pass residual against the Fraction loops.
+
+    Returns the residual.  A closed psi goes through ``verify_twisted_cybe``,
+    any other through the residual it computes after the d psi check.
+    """
+    pullback = psi_pullback_trivector(g, r, psi)
+    assert pullback == psi_pullback_trivector_fraction(g, r, psi)
+    expected = cybe_lhs_trivector(g, r) - CYBE_SIGN * pullback
+    assert expected == cybe_lhs_trivector_fraction(g, r) - CYBE_SIGN * pullback
+    if ce_differential(g, psi).is_zero():
+        result = verify_twisted_cybe(g, r, psi)
+        assert result.residual == expected
+        assert result.passed == expected.is_zero()
+    assert _cybe_residual(g, r, psi) == expected
+    return expected
+
+
+def mixed_rational(rng, long_digits=30):
+    """A small numerator over a short or a long denominator."""
+    dens = [1, 2, 3, 7, 10 ** (long_digits - 1) + rng.randrange(10 ** (long_digits - 1))]
+    return Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.choice(dens))
+
+
+class TestIntegerResidual:
+    """psi_pullback_trivector and the residual of verify_twisted_cybe, summed
+    on ints, against the Fraction loops; the residual must equal
+    T(r) - CYBE_SIGN * pullback, also where it is not zero."""
+
+    TWIST_SCALES = (F(0), F(2), Fraction(1, 2), F(-1))
+
+    def assert_with_rescaled_twists(self, st):
+        """The structure's residual is zero; a rescaled twist leaves one
+        exactly where psi pulls back to a nonzero trivector."""
+        assert assert_integer_residual(st.g, st.r, st.psi).is_zero()
+        pulled_back = not psi_pullback_trivector(st.g, st.r, st.psi).is_zero()
+        for c in self.TWIST_SCALES:
+            residual = assert_integer_residual(st.g, st.r, c * st.psi)
+            assert residual.is_zero() == (not pulled_back)
+        return pulled_back
+
+    def test_catalog(self, affine_entry, q_entries, gg_entries):
+        entries = [affine_entry, *q_entries.values(), *gg_entries.values()]
+        # the twists of affine and q(3..6) pull back to nonzero trivectors
+        assert sum(self.assert_with_rescaled_twists(e.structure) for e in entries) == 5
+
+    def test_seeded_linearizations(self):
+        rng = random.Random(909)
+        structures = [linearize(*make_random_linearize_input(rng)) for _ in range(20)]
+        assert sum(self.assert_with_rescaled_twists(st) for st in structures) > 0
+
+    def test_mixed_denominators(self):
+        rng = random.Random(910)
+        for g in (affine_algebra(), gl(3), sl(3)):
+            for _ in range(3):
+                r = Multivector(g.dim, 2, {
+                    idx: mixed_rational(rng)
+                    for idx in itertools.combinations(range(g.dim), 2)
+                    if rng.random() < 0.3
+                })
+                mu = Cochain(g.dim, 2, {
+                    idx: mixed_rational(rng)
+                    for idx in itertools.combinations(range(g.dim), 2)
+                    if rng.random() < 0.3
+                })
+                psi = Cochain(g.dim, 3, {
+                    idx: mixed_rational(rng)
+                    for idx in itertools.combinations(range(g.dim), 3)
+                    if rng.random() < 0.3
+                })
+                # a coboundary is closed, so it passes the d psi check
+                assert not assert_integer_residual(g, r, ce_differential(g, mu)).is_zero()
+                assert not assert_integer_residual(g, r, psi).is_zero()
+
+    def test_distinct_long_denominators_on_sl3(self):
+        # every term of r and psi over its own 20-digit denominator
+        rng = random.Random(911)
+        g = sl(3)
+        dens = sorted({rng.randrange(10**19, 10**20) for _ in range(56)})
+        pairs = list(itertools.combinations(range(g.dim), 2))
+        triples = rng.sample(list(itertools.combinations(range(g.dim), 3)), 28)
+        r = Multivector(g.dim, 2, {
+            idx: Fraction(rng.randint(1, 99), q) for idx, q in zip(pairs, dens)
+        })
+        psi = Cochain(g.dim, 3, {
+            idx: Fraction(rng.randint(1, 99), q) for idx, q in zip(triples, dens[28:])
+        })
+        assert len(dens) == 56 and len(r.terms) == len(psi.terms) == 28
+        assert not assert_integer_residual(g, r, psi).is_zero()
+        assert ce_differential(g, psi) == ce_differential_fraction(g, psi)
 
 
 class TestPullbackAgainstWedgeSum:
