@@ -183,7 +183,7 @@ def _cmd_verify_one(path: str, report: _Report) -> None:
         report.add("sharp homomorphism: FAIL", "sharp_homomorphism", False)
         raise _Failure("r# fails the homomorphism property")
     report.add("sharp homomorphism: pass", "sharp_homomorphism", True)
-    dual = dual_lie_algebra(st, check=False)
+    dual = dual_lie_algebra(st)
     jac = dual.check_jacobi()
     if not jac.ok:
         report.add("dual Jacobi: FAIL", "dual_jacobi", False)

@@ -19,15 +19,16 @@ Orientation conventions used consistently in this package:
   consistent.
 
 Every exact sum over the bracket table runs on Python ints, over one
-``IntegerTable`` per algebra: the table scaled by the lcm D of its
-denominators, built once on first use (``LieAlgebra.integer_table``),
-each part only when a computation asks for it.  The Jacobi identity is
-checked as d d e*_m = 0 for every m, one pair of table terms at a time,
-not triple by triple: triples that no nonzero product reaches are never
-visited, and since J(D c) = D^2 J(c) the integer sums vanish exactly
-where the rational ones do.  ``ce_differential`` reads the same
-by-output index as the Jacobi check, with one accumulator per
-denominator of the cochain's terms.
+``IntegerTable`` per algebra, built once on first use
+(``LieAlgebra.integer_table``): the lcm D of the table's denominators and
+the by-output index of the table scaled by D, which lists the terms of
+D d e*_m for every m.  The Jacobi identity is checked as d d e*_m = 0 for
+every m, one pair of table terms at a time, not triple by triple: triples
+that no nonzero product reaches are never visited, and since
+J(D c) = D^2 J(c) the integer sums vanish exactly where the rational ones
+do.  ``ce_differential`` reads the same index, with one accumulator of
+numerators per denominator, and builds its result with ``from_groups``,
+as the Yang-Baxter residual of ``twisted`` does.
 
 A ``Multivector`` or ``Cochain`` keeps a term's Fraction as given when its
 sorted index slot is new, and adds or subtracts only when a slot repeats.
@@ -106,43 +107,21 @@ class JacobiReport:
 class IntegerTable:
     """The bracket table scaled to integers by D, the lcm of its denominators.
 
-    ``LieAlgebra.integer_table`` builds it once per algebra, and each part
-    on first use, so an algebra that is only checked for Jacobi keeps only
-    the index that check reads:
-
-    * ``entries[(i, j)]`` is D [e_i, e_j] for i < j, as {m: int};
-    * ``by_output[m]`` lists (i, j, w) with w the e_m-coefficient of
-      D [e_i, e_j], so D d e*_m = sum of w e*_i ^ e*_j.
+    ``LieAlgebra.integer_table`` builds it once per algebra.
+    ``by_output[m]`` lists (i, j, w) with w the e_m-coefficient of
+    D [e_i, e_j], i < j, so D d e*_m = sum of w e*_i ^ e*_j.
     """
 
-    __slots__ = ("scale", "_dim", "_table", "_entries", "_by_output")
+    __slots__ = ("scale", "by_output")
 
     def __init__(self, dim: int, table: dict[tuple[int, int], SparseVec]):
-        self._dim = dim
-        self._table = table
-        self.scale = math.lcm(*(c.denominator for entry in table.values() for c in entry.values()))
-        self._entries: dict[tuple[int, int], dict[int, int]] | None = None
-        self._by_output: list[list[tuple[int, int, int]]] | None = None
-
-    def _scaled(self, entry: SparseVec) -> dict[int, int]:
-        scale = self.scale
-        return {m: c.numerator * (scale // c.denominator) for m, c in entry.items()}
-
-    @property
-    def entries(self) -> dict[tuple[int, int], dict[int, int]]:
-        if self._entries is None:
-            self._entries = {key: self._scaled(entry) for key, entry in self._table.items()}
-        return self._entries
-
-    @property
-    def by_output(self) -> list[list[tuple[int, int, int]]]:
-        if self._by_output is None:
-            out: list[list[tuple[int, int, int]]] = [[] for _ in range(self._dim)]
-            for (i, j), entry in self._table.items():
-                for m, w in self._scaled(entry).items():
-                    out[m].append((i, j, w))
-            self._by_output = out
-        return self._by_output
+        scale = math.lcm(*(c.denominator for entry in table.values() for c in entry.values()))
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
+        for (i, j), entry in table.items():
+            for m, c in entry.items():
+                out[m].append((i, j, c.numerator * (scale // c.denominator)))
+        self.scale = scale
+        self.by_output = out
 
 
 class LieAlgebra:
@@ -565,6 +544,31 @@ def interior(alpha: Cochain, m: Multivector) -> Multivector:
     return Multivector(m.dim, m.degree - 1, acc)
 
 
+# numerators of an alternating form, one accumulator per denominator q
+Groups = dict[int, dict[tuple[int, ...], int]]
+
+
+def from_groups(cls: type, dim: int, degree: int, groups: Groups):
+    """The ``cls`` (Multivector or Cochain) whose coefficient at each key
+    is the sum over q of its numerator in ``groups[q]``, divided by q.
+
+    A key's parts over different denominators are summed pairwise, so
+    that no partial sum carries the denominators of all the others.
+    """
+    parts: dict[tuple[int, ...], list[Fraction]] = {}
+    for q, acc in groups.items():
+        for key, v in acc.items():
+            if v:
+                parts.setdefault(key, []).append(Fraction(v, q))
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, fs in parts.items():
+        while len(fs) > 1:
+            pairs = [a + b for a, b in zip(fs[::2], fs[1::2])]
+            fs = pairs + fs[-1:] if len(fs) % 2 else pairs
+        out[key] = fs[0]
+    return cls(dim, degree, out)
+
+
 def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
     """Cohomology differential with this package's orientation.
 
@@ -577,17 +581,14 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
         raise ValueError("cochain dimension does not match the algebra")
     if c.degree == 0:
         return Cochain.zero(g.dim, 1)
-    # the sums run on ints: the table scaled by T, the lcm of its
-    # denominators (``integer_table``), and the terms of c grouped by
-    # denominator q, one accumulator of numerators per q, divided by q T at
-    # the end.  Catalog and generated cochains have one or two denominators;
-    # a cochain whose terms all have distinct long ones costs what a
-    # Fraction sum would.
+    # the sums run on ints, over the table scaled by T (``integer_table``),
+    # with one accumulator of numerators for each denominator q of c's
+    # terms, keyed by q T; a cochain of distinct long q costs a Fraction sum
     view = g.integer_table()
     tscale, d1 = view.scale, view.by_output
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    groups: Groups = {}
     for idx, coeff in c.terms.items():
-        acc = groups.setdefault(coeff.denominator, {})
+        acc = groups.setdefault(coeff.denominator * tscale, {})
         for t, m in enumerate(idx):
             rest = idx[:t] + idx[t + 1 :]
             f = -coeff.numerator if t % 2 else coeff.numerator
@@ -600,12 +601,7 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
                     continue
                 key = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
                 acc[key] = acc.get(key, 0) + (-f * w if (a + b) % 2 else f * w)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for q, acc in groups.items():
-        for key, v in acc.items():
-            if v:
-                out[key] = out.get(key, 0) + Fraction(v, q * tscale)
-    return Cochain(g.dim, c.degree + 1, out)
+    return from_groups(Cochain, g.dim, c.degree + 1, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ regression test; together with this package's differential orientation it
 makes the linearization constructor, the Yang-Baxter check and the dual
 Lie algebra mutually consistent.
 
-The Yang-Baxter check runs on ints.  T(r) reads the table scaled by D,
-the lcm of its denominators (``LieAlgebra.integer_table``), and the
-pullback of psi keeps one accumulator for each product of the
-denominators of its four factors.  ``verify_twisted_cybe`` adds T(r) and
--CYBE_SIGN times the pullback into the same accumulators in one pass, and
-builds the residual as one Multivector.
+With (d e*_m)(x, y) = e*_m([x, y]), the term <a, [r#b, r#c]> is
+(d e*_a)(r#b, r#c), so T(r) = sum over m of e_m ^ r#^*(d e*_m) is a
+pullback along r#, like the psi side.  Both run in one integer loop over
+the sparse rows of r# (``_wedge_sum``): T(r) from the by-output index of
+the table scaled by D (``LieAlgebra.integer_table``), psi from its terms,
+with one accumulator for each product of the denominators of the four
+factors.  ``verify_twisted_cybe`` feeds T(r) and -CYBE_SIGN times the
+pullback through the same loop, and builds the residual as one
+Multivector.
 
 The map r# is kept once, as sparse columns (``sharp_columns``), and no
 dense matrix of it is built: the carrier p = im r# is the row reduction of
@@ -37,6 +40,8 @@ from fractions import Fraction
 
 from .liealg import (
     Cochain,
+    Groups,
+    JacobiViolationError,
     LieAlgebra,
     Multivector,
     Subalgebra,
@@ -44,6 +49,7 @@ from .liealg import (
     ce_differential,
     closed_subalgebra,
     coadjoint_character,
+    from_groups,
     quotient_character,
     trace_adjoint,
 )
@@ -82,72 +88,47 @@ def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
     return cols
 
 
-# numerators of a trivector, one accumulator per denominator
-_Groups = dict[int, dict[tuple[int, int, int], int]]
+def _sharp_rows(r: Multivector) -> list[list[tuple[int, int, int]]]:
+    """Row i of the r# matrix, the pullback of e*_i along r#, for each i, as
+    (index, numerator, denominator) triples.
 
-
-def _add_cybe(g: LieAlgebra, r: Multivector, groups: _Groups) -> None:
-    """Add 2 D T(r) to ``groups``, one accumulator of numerators per
-    denominator q of c_u c_v (see ``cybe_lhs_trivector``)."""
-    table = g.integer_table().entries
-    terms = list(r.terms.items())
-
-    def put(acc, i: int, j: int, a: int, b: int, f: int):
-        # add f [e_i, e_j] ^ e_a ^ e_b, sorting each index triple inline
-        if i == j or a == b:
-            return
-        if i > j:
-            i, j, f = j, i, -f
-        entry = table.get((i, j))
-        if entry is None:
-            return
-        if a > b:
-            a, b, f = b, a, -f
-        for m, cm in entry.items():
-            if m < a:
-                key, v = (m, a, b), f * cm
-            elif a < m < b:
-                key, v = (a, m, b), -f * cm
-            elif m > b:
-                key, v = (a, b, m), f * cm
-            else:
-                continue
-            acc[key] = acc.get(key, 0) + v
-
-    for u, ((xu, yu), cu) in enumerate(terms):
-        for v in range(u, len(terms)):
-            (xv, yv), cv = terms[v]
-            acc = groups.setdefault(cu.denominator * cv.denominator, {})
-            s = cu.numerator * cv.numerator
-            if v != u:
-                s *= 2
-            put(acc, xu, xv, yu, yv, s)
-            put(acc, yu, yv, xu, xv, s)
-            put(acc, xu, yv, yu, xv, -s)
-            put(acc, yu, xv, xu, yv, -s)
-
-
-def _add_pullback(
-    r: Multivector, psi: Cochain, weight: Fraction, unit: int, groups: _Groups
-) -> None:
-    """Add unit * weight * psi(r#., r#., r#.) to ``groups``.
-
-    Row i of the r# matrix, seen as a vector on the dual side, is the
-    pullback of the i-th basis covector along r#; the matrix is skew, so
-    that row is minus column i.  Each term c e_i* ^ e_j* ^ e_k* of psi pulls
-    back to c row_i ^ row_j ^ row_k.  A product of four factors adds its
-    numerator to the accumulator of the product q of their denominators.
+    The matrix is skew, so row i is minus column i (``_sharp_columns``).
     """
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(r.dim)]
     for (i, j), c in r.terms.items():
         rows[i].append((j, -c.numerator, c.denominator))
         rows[j].append((i, c.numerator, c.denominator))
+    return rows
+
+
+def _cybe_terms(g: LieAlgebra, rows: list):
+    """T(r) as terms (w, D, e_m, row_i, row_j), one per (i, j, w) in
+    ``by_output[m]``: D d e*_m pulls back to the sum of w row_i ^ row_j."""
+    view = g.integer_table()
+    for m, terms in enumerate(view.by_output):
+        e_m = ((m, 1, 1),)
+        for i, j, w in terms:
+            yield w, view.scale, e_m, rows[i], rows[j]
+
+
+def _psi_terms(rows: list, psi: Cochain, weight: Fraction):
+    """weight * (pullback of psi) as terms (c, row_i, row_j, row_k), one per
+    term c e*_i ^ e*_j ^ e*_k of psi."""
     for (i, j, k), c in psi.terms.items():
         c = weight * c
-        cn, cd = c.numerator * unit, c.denominator
-        third = rows[k]
-        for a, an, ad in rows[i]:
-            for b, bn, bd in rows[j]:
+        yield c.numerator, c.denominator, rows[i], rows[j], rows[k]
+
+
+def _wedge_sum(dim: int, terms) -> Multivector:
+    """The sum of (n / d) u ^ v ^ x over the terms (n, d, u, v, x).
+
+    A product of four factors adds its numerator to the accumulator of the
+    product of their denominators; each index triple is sorted inline.
+    """
+    groups: Groups = {}
+    for cn, cd, us, vs, xs in terms:
+        for a, an, ad in us:
+            for b, bn, bd in vs:
                 # sort (a, b) inline, then place d into the pair
                 if a < b:
                     lo, hi, f = a, b, cn * an * bn
@@ -156,7 +137,7 @@ def _add_pullback(
                 else:
                     continue
                 q = cd * ad * bd
-                for d, dn, dd in third:
+                for d, dn, dd in xs:
                     if d < lo:
                         key, v = (d, lo, hi), f * dn
                     elif lo < d < hi:
@@ -169,59 +150,32 @@ def _add_pullback(
                     if acc is None:
                         acc = groups[q * dd] = {}
                     acc[key] = acc.get(key, 0) + v
-
-
-def _trivector(dim: int, groups: _Groups, unit: int) -> Multivector:
-    """The trivector whose numerators ``groups`` holds, over q * unit.
-
-    A key's parts over different denominators are summed pairwise, so
-    that no partial sum carries the denominators of all the others.
-    """
-    parts: dict[tuple[int, int, int], list[Fraction]] = {}
-    for q, acc in groups.items():
-        for key, v in acc.items():
-            if v:
-                parts.setdefault(key, []).append(Fraction(v, q * unit))
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for key, fs in parts.items():
-        while len(fs) > 1:
-            pairs = [a + b for a, b in zip(fs[::2], fs[1::2])]
-            fs = pairs + fs[-1:] if len(fs) % 2 else pairs
-        out[key] = fs[0]
-    return Multivector(dim, 3, out)
+    return from_groups(Multivector, dim, 3, groups)
 
 
 def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
-    """The Yang-Baxter trivector T(r), via the decomposable-pair expansion.
+    """The Yang-Baxter trivector T(r) = sum over m of e_m ^ r#^*(d e*_m).
 
-    For r = sum c_u x_u ^ y_u over basis wedges,
-    2 T(r) = sum over pairs (u, v) of c_u c_v (
-        [x_u, x_v] ^ y_u ^ y_v + [y_u, y_v] ^ x_u ^ x_v
-        - [x_u, y_v] ^ y_u ^ x_v - [y_u, x_v] ^ x_u ^ y_v).
-    The (u, v) and (v, u) terms are equal, so the sum visits u <= v and
-    weights u < v by 2.  It runs on ints: the table scaled by D, the lcm of
-    its denominators (``LieAlgebra.integer_table``), and one accumulator of
-    numerators per denominator q of c_u c_v, divided by 2 q D at the end,
-    as in ``ce_differential``.
+    Since (d e*_a)(x, y) = e*_a([x, y]), T(r)(a, b, c) is the cyclic sum
+    of (d e*_a)(r#b, r#c), and (e_m ^ beta)(a, b, c) is the cyclic sum of
+    a_m beta(b, c).  It runs on ints, in the loop of the psi pullback
+    (``_wedge_sum``), over the by-output index of the table scaled by D,
+    the lcm of its denominators (``LieAlgebra.integer_table``).
     """
-    groups: _Groups = {}
-    _add_cybe(g, r, groups)
-    return _trivector(g.dim, groups, 2 * g.integer_table().scale)
+    return _wedge_sum(g.dim, _cybe_terms(g, _sharp_rows(r)))
 
 
 def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain) -> None:
-    if psi.degree != 3 or psi.dim != g.dim:
-        raise ValueError("psi must be a 3-cochain on the algebra")
     if r.degree != 2 or r.dim != g.dim:
         raise ValueError("r must be a bivector on the algebra")
+    if psi.degree != 3 or psi.dim != g.dim:
+        raise ValueError("psi must be a 3-cochain on the algebra")
 
 
 def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
     """The trivector (a, b, c) -> psi(r#a, r#b, r#c), summed on ints."""
     _check_operands(g, r, psi)
-    groups: _Groups = {}
-    _add_pullback(r, psi, Fraction(1), 1, groups)
-    return _trivector(g.dim, groups, 1)
+    return _wedge_sum(g.dim, _psi_terms(_sharp_rows(r), psi, Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -233,15 +187,13 @@ class CybeResult:
 def _cybe_residual(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
     """T(r) - CYBE_SIGN * (pullback of psi), summed in one pass.
 
-    Both parts add into the same accumulators, on the scale 2 D of
-    ``cybe_lhs_trivector``, so the residual is built as one Multivector.
+    Both parts go through the same loop and accumulators, so the residual
+    is built as one Multivector.
     """
     _check_operands(g, r, psi)
-    unit = 2 * g.integer_table().scale
-    groups: _Groups = {}
-    _add_cybe(g, r, groups)
-    _add_pullback(r, psi, -CYBE_SIGN, unit, groups)
-    return _trivector(g.dim, groups, unit)
+    rows = _sharp_rows(r)
+    terms = itertools.chain(_cybe_terms(g, rows), _psi_terms(rows, psi, -CYBE_SIGN))
+    return _wedge_sum(g.dim, terms)
 
 
 def verify_twisted_cybe(g: LieAlgebra, r: Multivector, psi: Cochain) -> CybeResult:
@@ -274,10 +226,7 @@ class TwistedTriangularStructure:
     )
 
     def __init__(self, g: LieAlgebra, r: Multivector, psi: Cochain, *, check: bool = True):
-        if r.degree != 2 or r.dim != g.dim:
-            raise ValueError("r must be a bivector on the algebra")
-        if psi.degree != 3 or psi.dim != g.dim:
-            raise ValueError("psi must be a 3-cochain on the algebra")
+        _check_operands(g, r, psi)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "psi", psi)
@@ -400,17 +349,23 @@ def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], 
     return structure._dual_table
 
 
-def dual_lie_algebra(structure: TwistedTriangularStructure, *, check: bool = True) -> LieAlgebra:
+def dual_lie_algebra(structure: TwistedTriangularStructure, *, check: bool = False) -> LieAlgebra:
     """The Lie algebra on the dual space defined by the structure.
 
-    Jacobi is guaranteed by the twisted Yang-Baxter equation but is checked
-    anyway; an unchecked structure with a nonzero residual surfaces here as
-    a JacobiViolationError.
+    It is built once, without a Jacobi check, and cached.  Jacobi is
+    guaranteed by the twisted Yang-Baxter equation; for an unchecked
+    structure with a nonzero residual, ``check_jacobi()`` of the result
+    reports the failing triple.  ``check=True`` runs that check on every
+    call and raises JacobiViolationError when it fails.
     """
     if structure._dual is None:
         labels = tuple(f"{lab}*" for lab in structure.g.labels)
-        algebra = LieAlgebra(labels, _dual_table(structure), check=check)
+        algebra = LieAlgebra(labels, _dual_table(structure), check=False)
         object.__setattr__(structure, "_dual", algebra)
+    if check:
+        report = structure._dual.check_jacobi()
+        if not report.ok:
+            raise JacobiViolationError(report.triple, report.residual)
     return structure._dual
 
 
@@ -591,7 +546,7 @@ def relation_check(structure: TwistedTriangularStructure) -> RelationReport:
     theta = report.representative
 
     mod_g = trace_adjoint(g).to_vector()
-    dual = dual_lie_algebra(structure, check=False)
+    dual = dual_lie_algebra(structure)
     mod_dual = trace_adjoint(dual).to_vector()
     cols = structure.sharp_columns()
 

@@ -166,9 +166,7 @@ def test_criterion_7_property_suites(affine_entry, q_entries, gg_entries):
         else:
             psi = F(rng.choice([2, 3, -1])) * psi
         verified = verify_twisted_cybe(g, r, psi).passed
-        jac = dual_lie_algebra(
-            TwistedTriangularStructure.unchecked(g, r, psi), check=False
-        ).check_jacobi()
+        jac = dual_lie_algebra(TwistedTriangularStructure.unchecked(g, r, psi)).check_jacobi()
         ok = ok and (verified == jac.ok)
         both_ways[verified] += 1
     equivalence_ok = ok and both_ways[True] > 0 and both_ways[False] > 0

@@ -123,7 +123,7 @@ class TestJacobi:
 
 
 class TestIntegerTable:
-    def test_scaled_entries_and_by_output(self):
+    def test_scale_and_by_output(self):
         g = LieAlgebra(
             ["a", "b", "c", "d"],
             {(0, 1): {1: F(1) / 2, 3: F(2) / 3}, (0, 2): {2: 5}, (1, 2): {3: F(-1) / 4}},
@@ -132,9 +132,6 @@ class TestIntegerTable:
         view = g.integer_table()
         assert view is g.integer_table()
         assert view.scale == 12
-        assert view.entries == {
-            key: {m: c * 12 for m, c in entry.items()} for key, entry in g.table.items()
-        }
         assert view.by_output == [[], [(0, 1, 6)], [(0, 2, 60)], [(0, 1, 8), (1, 2, -3)]]
 
     def test_one_view_per_algebra(self, affine_entry):
@@ -210,13 +207,13 @@ class TestJacobiAgainstOracle:
     def test_catalog_duals(self, affine_entry, q_entries, gg_entries):
         entries = [affine_entry, *q_entries.values(), *gg_entries.values()]
         for entry in entries:
-            dual = dual_lie_algebra(entry.structure, check=False)
+            dual = dual_lie_algebra(entry.structure)
             assert check_jacobi(dual) == jacobi_by_triples(dual) == JacobiReport(True)
 
     def test_seeded_linearization_duals(self):
         rng = random.Random(505)
         for _ in range(20):
-            dual = dual_lie_algebra(linearize(*make_random_linearize_input(rng)), check=False)
+            dual = dual_lie_algebra(linearize(*make_random_linearize_input(rng)))
             assert check_jacobi(dual) == jacobi_by_triples(dual) == JacobiReport(True)
 
     def test_perturbed_tables(self, gl_algebras):

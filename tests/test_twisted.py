@@ -9,6 +9,7 @@ from modclass.catalog import affine_algebra, gl, sl
 from modclass.frobenius import linearize
 from modclass.liealg import (
     Cochain,
+    JacobiViolationError,
     LieAlgebra,
     Multivector,
     NotClosedError,
@@ -94,6 +95,19 @@ def psi_pullback_by_wedges(g, r, psi):
     return out
 
 
+def gl3_rescaled():
+    """gl(3) in the basis s_k e_k, where [s_i e_i, s_j e_j] has the
+    coefficients c^k_ij s_i s_j / s_k; the s_k in 2, 1/2, 3 and 1/3 put
+    structure constants over 2 and 3 into the table, so its scale D is 6."""
+    g = gl(3)
+    s = [1, 2, Fraction(1, 3), 1, 3, 1, Fraction(1, 2), 1, 1]
+    table = {
+        (i, j): {k: c * s[i] * s[j] / s[k] for k, c in entry.items()}
+        for (i, j), entry in g.table.items()
+    }
+    return LieAlgebra(g.labels, table)
+
+
 class TestRSharp:
     def test_zero_bivector(self, gl_algebras):
         g = gl_algebras[2]
@@ -140,16 +154,19 @@ class TestRSharp:
 class TestCybeOracle:
     def test_lhs_matches_direct_formula(self):
         rng = random.Random(23)
-        for g in (affine_algebra(), gl(2), gl(3)):
+        for g in (affine_algebra(), gl(2), gl(3), gl3_rescaled()):
             for _ in range(6):
                 r = random_multivector(rng, g.dim, 2, density=0.3)
                 assert cybe_lhs_trivector(g, r) == cybe_lhs_direct(g, r)
 
     def test_lhs_matches_fraction_loop(self, q_entries, gg_entries):
-        # rational r with mixed denominators, and the catalog's r
+        # rational r with mixed denominators, and the catalog's r; the dual
+        # of gg(3) has structure constants over 3, so its scale D is 3
         rng = random.Random(25)
         dens = [1, 2, 3, 5, 10**25 + 13]
-        for g in (affine_algebra(), gl(3), gl(4)):
+        gg3_dual = dual_lie_algebra(gg_entries[3].structure)
+        assert gg3_dual.integer_table().scale == 3
+        for g in (affine_algebra(), gl(3), gl(4), gg3_dual):
             for _ in range(4):
                 r = Multivector(g.dim, 2, {
                     idx: Fraction(rng.randint(-9, 9), rng.choice(dens))
@@ -180,9 +197,11 @@ def assert_integer_residual(g, r, psi):
     """
     pullback = psi_pullback_trivector(g, r, psi)
     assert pullback == psi_pullback_trivector_fraction(g, r, psi)
+    dpsi = ce_differential(g, psi)
+    assert dpsi == ce_differential_fraction(g, psi)
     expected = cybe_lhs_trivector(g, r) - CYBE_SIGN * pullback
     assert expected == cybe_lhs_trivector_fraction(g, r) - CYBE_SIGN * pullback
-    if ce_differential(g, psi).is_zero():
+    if dpsi.is_zero():
         result = verify_twisted_cybe(g, r, psi)
         assert result.residual == expected
         assert result.passed == expected.is_zero()
@@ -225,7 +244,9 @@ class TestIntegerResidual:
 
     def test_mixed_denominators(self):
         rng = random.Random(910)
-        for g in (affine_algebra(), gl(3), sl(3)):
+        g6 = gl3_rescaled()
+        assert g6.integer_table().scale == 6
+        for g in (affine_algebra(), gl(3), sl(3), g6):
             for _ in range(3):
                 r = Multivector(g.dim, 2, {
                     idx: mixed_rational(rng)
@@ -514,7 +535,7 @@ class TestSparseDualTable:
         object.__setattr__(st, "_dual_table", table)
         witness = Multivector(g.dim, 2, {key: F(1)}) if hom_fails else None
         assert sharp_homomorphism_residuals(st) == witness
-        assert not dual_lie_algebra(st, check=False).check_jacobi().ok
+        assert not dual_lie_algebra(st).check_jacobi().ok
 
 
 class TestDualLieAlgebra:
@@ -532,6 +553,22 @@ class TestDualLieAlgebra:
     def test_gg2_dual_jacobi(self, gg_entries):
         dual = dual_lie_algebra(gg_entries[2].structure)
         assert dual.dim == 3 and dual.check_jacobi().ok
+
+    def test_unchecked_structure_is_built_once_and_reports_its_triple(self, affine_entry):
+        base = affine_entry.structure
+        g = base.g
+        r = base.r + Multivector(g.dim, 2, {(0, 1): F(1)})
+        st = TwistedTriangularStructure.unchecked(g, r, base.psi)
+        assert not verify_twisted_cybe(g, r, base.psi).passed
+        dual = dual_lie_algebra(st)
+        assert dual_lie_algebra(st) is dual
+        report = dual.check_jacobi()
+        assert not report.ok and report.triple is not None
+        # an explicit check is run on the cached algebra, not skipped
+        with pytest.raises(JacobiViolationError) as err:
+            dual_lie_algebra(st, check=True)
+        assert err.value.triple == report.triple
+        assert dual_lie_algebra(st) is dual
 
 
 class TestCarrierAndKernel:
@@ -704,7 +741,7 @@ class TestRelations:
         g = st.g
         theta = modular_class(st).representative
         mod_g = trace_adjoint(g).to_vector()
-        mod_dual = trace_adjoint(dual_lie_algebra(st, check=False)).to_vector()
+        mod_dual = trace_adjoint(dual_lie_algebra(st)).to_vector()
         sharp = r_sharp_matrix(st.g, st.r)
         for a in range(g.dim):
             pull = dot(mod_g, column(sharp, a))
