@@ -153,6 +153,13 @@ def _wedge_sum(dim: int, terms) -> Multivector:
     return from_groups(Multivector, dim, 3, groups)
 
 
+def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain | None = None) -> None:
+    if r.degree != 2 or r.dim != g.dim:
+        raise ValueError("r must be a bivector on the algebra")
+    if psi is not None and (psi.degree != 3 or psi.dim != g.dim):
+        raise ValueError("psi must be a 3-cochain on the algebra")
+
+
 def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
     """The Yang-Baxter trivector T(r) = sum over m of e_m ^ r#^*(d e*_m).
 
@@ -162,14 +169,8 @@ def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
     (``_wedge_sum``), over the by-output index of the table scaled by D,
     the lcm of its denominators (``LieAlgebra.integer_table``).
     """
+    _check_operands(g, r)
     return _wedge_sum(g.dim, _cybe_terms(g, _sharp_rows(r)))
-
-
-def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain) -> None:
-    if r.degree != 2 or r.dim != g.dim:
-        raise ValueError("r must be a bivector on the algebra")
-    if psi.degree != 3 or psi.dim != g.dim:
-        raise ValueError("psi must be a 3-cochain on the algebra")
 
 
 def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:

@@ -178,6 +178,16 @@ class TestCybeOracle:
             st = entry.structure
             assert cybe_lhs_trivector(st.g, st.r) == cybe_lhs_trivector_fraction(st.g, st.r)
 
+    def test_lhs_rejects_an_r_off_the_algebra(self):
+        g = gl(3)
+        for r in (
+            Multivector(4, 2, {(0, 1): F(1), (2, 3): F(1)}),
+            Multivector(12, 2, {(0, 11): F(1)}),
+            Multivector(9, 3, {(0, 1, 2): F(1)}),
+        ):
+            with pytest.raises(ValueError, match="r must be a bivector"):
+                cybe_lhs_trivector(g, r)
+
     def test_pullback_matches_direct_formula(self):
         rng = random.Random(24)
         for g in (affine_algebra(), gl(2)):
