@@ -11,6 +11,9 @@ of these runs outside the test suite.
   representation oracles;
 * ``dense_sharp_apply`` and ``dual_bracket``: r# of a covector and the
   dual bracket of two 1-cochains, against the sparse dual table;
+* ``sharp_homomorphism_residuals``: r# applied to every dual table entry
+  against the bracket of two r# columns, a verdict that ``verify`` and
+  ``modular_class`` read off the zero Yang-Baxter residual;
 * ``is_frobenius``: degeneracy of xi([., .]) by its own elimination, against
   ``frobenius_modular``;
 * ``ce_differential_fraction``, ``cybe_lhs_trivector_fraction`` and
@@ -47,7 +50,7 @@ from fractions import Fraction
 from modclass.frobenius import DegenerateFormError, _gram, invert_cochain, mu_from_xi
 from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign, ce_differential
 from modclass.linalg import Matrix, SingularMatrixError, Vector, dense, invert, kernel_basis, rat
-from modclass.twisted import TwistedTriangularStructure, _sharp_columns
+from modclass.twisted import TwistedTriangularStructure, _dual_table, _sharp_columns
 
 
 def entries(m: Matrix) -> tuple[Vector, ...]:
@@ -189,6 +192,23 @@ def dual_bracket(structure, alpha: Cochain, beta: Cochain) -> Cochain:
         out[q] -= c * (xp * ys - xs * yp)
         out[p] += c * (xq * ys - xs * yq)
     return Cochain.from_covector(out)
+
+
+def sharp_homomorphism_residuals(structure: TwistedTriangularStructure) -> Multivector | None:
+    """Check that r# maps dual brackets to brackets of sharp images.
+
+    Returns None when r#([a, b]*) = [r#a, r#b] for all dual basis pairs,
+    otherwise the first offending basis wedge as a witness.  Each dual
+    table entry is pushed through the sparse r# columns and compared with
+    the sparse bracket of two columns; neither side stores a zero.
+    """
+    g = structure.g
+    table = _dual_table(structure)
+    cols = structure.sharp_columns()
+    for a, b in itertools.combinations(range(g.dim), 2):
+        if structure.sharp_apply(table.get((a, b), {})) != g.bracket(cols[a], cols[b]):
+            return Multivector(g.dim, 2, {(a, b): Fraction(1)})
+    return None
 
 
 @dataclass(frozen=True)

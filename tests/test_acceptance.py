@@ -21,10 +21,9 @@ from modclass.twisted import (
     dual_lie_algebra,
     modular_class,
     relation_check,
-    sharp_homomorphism_residuals,
     verify_twisted_cybe,
 )
-from oracles import r_sharp_matrix
+from oracles import r_sharp_matrix, sharp_homomorphism_residuals
 
 
 def F(x):

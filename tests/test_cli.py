@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import modclass.twisted
 from modclass.catalog import affine_example, q_example
 from modclass.cli import main
 from modclass.structfile import from_catalog_entry, parse, serialize
+from test_golden import RECORD, case_id, run_case
 
 JACOBI_VIOLATOR = (
     "[algebra]\nlabels = x y z\n"
@@ -151,6 +153,22 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "verified"
         assert payload["yang_baxter"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["affine", "q3", "gg3"])
+    def test_builds_no_dual_table(self, monkeypatch, name, fmt):
+        # verify takes the homomorphism and dual Jacobi verdicts from the
+        # zero Yang-Baxter residual; every route to the dual table goes
+        # through _dual_table, so a verify that built it would raise here
+        def refuse(structure):
+            raise AssertionError("the dual table was built")
+
+        monkeypatch.setattr(modclass.twisted, "_dual_table", refuse)
+        expected = json.loads(RECORD.read_text(encoding="utf-8"))
+        assert run_case("verify", fmt, name) == expected[case_id("verify", fmt, name)]
+        # the patch is live: modular_class reads the table
+        with pytest.raises(AssertionError, match="dual table"):
+            run_case("modular", fmt, name)
 
 
 class TestLongCoefficients:

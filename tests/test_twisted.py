@@ -32,7 +32,6 @@ from modclass.twisted import (
     modular_class,
     psi_pullback_trivector,
     relation_check,
-    sharp_homomorphism_residuals,
     verify_twisted_cybe,
 )
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     mat_is_zero,
     psi_pullback_trivector_fraction,
     r_sharp_matrix,
+    sharp_homomorphism_residuals,
 )
 
 
@@ -533,9 +533,9 @@ class TestSparseDualTable:
         ],
         ids=["sharp-homomorphism", "dual-jacobi"],
     )
-    def test_corrupted_table_fails_verify_checks(self, affine_entry, pair, entry, hom_fails):
-        # the checks that ``verify`` runs after carrier_and_kernel read the
-        # table, so a corrupted entry surfaces there
+    def test_oracle_and_jacobi_catch_corruption(self, affine_entry, pair, entry, hom_fails):
+        # the homomorphism oracle and the dual Jacobi check read the table,
+        # so a corrupted entry surfaces there (``verify`` reads neither)
         base = affine_entry.structure
         g = base.g
         st = TwistedTriangularStructure(g, base.r, base.psi)
@@ -546,6 +546,43 @@ class TestSparseDualTable:
         witness = Multivector(g.dim, 2, {key: F(1)}) if hom_fails else None
         assert sharp_homomorphism_residuals(st) == witness
         assert not dual_lie_algebra(st).check_jacobi().ok
+
+
+class TestResidualContraction:
+    """r#[e_a*, e_b*]_r - [r#e_a*, r#e_b*] = -R(e_a*, e_b*, .) for the
+    Yang-Baxter residual R, so R = 0 decides the homomorphism verdict of
+    ``verify`` and ``modular_class``.  It says something only where R != 0."""
+
+    def test_identity_on_structures_with_nonzero_residual(
+        self, affine_entry, q_entries, gg_entries
+    ):
+        bases = [affine_entry.structure] + [
+            family[n].structure for family in (q_entries, gg_entries) for n in (3, 4)
+        ]
+        rng = random.Random(811)
+        seen = 0
+        while seen < 24:
+            st = rng.choice(bases)
+            g = st.g
+            r, psi = st.r, st.psi
+            if rng.randrange(2):
+                a, b = sorted(rng.sample(range(g.dim), 2))
+                r = r + Multivector(g.dim, 2, {(a, b): F(rng.choice([-2, -1, 1, 2]))})
+            else:
+                psi = F(rng.choice([0, 2, -1])) * psi
+            # raises PsiNotClosedError unless d psi = 0
+            result = verify_twisted_cybe(g, r, psi)
+            if result.passed:
+                continue
+            seen += 1
+            pert = TwistedTriangularStructure.unchecked(g, r, psi)
+            table = _dual_table(pert)
+            cols = pert.sharp_columns()
+            for a, b in itertools.combinations(range(g.dim), 2):
+                pushed = pert.sharp_apply(table.get((a, b), {}))
+                bracket = g.bracket(cols[a], cols[b])
+                defect = [pushed.get(k, 0) - bracket.get(k, 0) for k in range(g.dim)]
+                assert defect == [-result.residual.coefficient(a, b, k) for k in range(g.dim)]
 
 
 class TestDualLieAlgebra:
