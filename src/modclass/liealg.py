@@ -37,8 +37,10 @@ Vectors are the ``SparseVec`` dicts of ``linalg``: ``LieAlgebra.bracket``
 takes and returns them, and a ``Subalgebra`` is built from the sparse rows
 of its rref basis, from which it derives the dense ``basis``; dense tuples
 appear only at the public boundary (``basis``, ``basis_vector``,
-``from_coords``, witnesses).  The closure check brackets each pair of basis
-rows once and keeps the structure constants for ``as_lie_algebra``.
+``from_coords``, witnesses).  A ``Subalgebra`` does not check closure
+itself: ``span_subalgebra`` does, by ``as_lie_algebra``, which brackets
+each pair of basis rows once and keeps the structure constants; the
+carrier of a verified structure is closed by theorem (see ``twisted``).
 ``restrict_cochain`` pulls each term back along the rows, which agrees with
 the determinant rule of ``Cochain.evaluate``, the test suite's oracle.
 ``annihilator`` reads ann(p) off the rows by ``linalg.null_space``.
@@ -47,8 +49,10 @@ A subalgebra p acts on g/p and, by the coadjoint action, on the
 annihilator ann(p).  Only the characters (traces) of these two actions
 enter the modular class, so they are computed as traces straight from the
 bracket tables (``quotient_character``, ``coadjoint_character``) and no
-action matrix is formed.  The two are dual, so the characters are
-opposite; the computation of the modular class uses that as a cross-check.
+action matrix is formed; ``trace_adjoint`` reads Tr(ad|p) off the
+by-output index along the rows of p.  The two are dual, so the characters
+are opposite; the computation of the modular class uses that as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -141,14 +145,15 @@ class LieAlgebra:
             raise ValueError("basis labels must be distinct")
         n = len(labels)
         clean: dict[tuple[int, int], SparseVec] = {}
-        for (i, j), value in table.items():
+        for key, value in table.items():
+            i, j = key
             if not (0 <= i < j < n):
-                raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < dim")
+                raise ValueError(f"bracket key {key} must satisfy 0 <= i < j < dim")
             entries = sparse(value)
             if any(not 0 <= k < n for k in entries):
                 raise ValueError("bracket value index out of range")
             if entries:
-                clean[(i, j)] = entries
+                clean[key] = entries
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", clean)
@@ -305,20 +310,6 @@ class LieAlgebra:
 
 def check_jacobi(g: LieAlgebra) -> JacobiReport:
     return g.check_jacobi()
-
-
-def trace_adjoint(g: LieAlgebra) -> "Cochain":
-    """The 1-cochain x -> Tr(ad_x); the modular cocycle of the algebra itself.
-
-    The diagonal entry of ad_(e_m) at e_j is the e_j-coefficient of
-    [e_m, e_j], read from the adjacency of m.
-    """
-    adj = g.adjacency()
-    return Cochain(
-        g.dim,
-        1,
-        {(m,): sum(sign * entry.get(j, 0) for j, entry, sign in adj[m]) for m in range(g.dim)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +605,10 @@ class Subalgebra:
     ``rows[s]``, a sparse vector, is 1 at its pivot coordinate ``pivots[s]``
     and 0 at the other pivots; the remaining coordinates, ``complement``,
     index the canonical complement, spanned by their unit vectors.
-    ``basis`` holds the same basis as dense tuples.
+    ``basis`` holds the same basis as dense tuples.  The constructor takes
+    closure on trust: ``span_subalgebra`` checks it (``as_lie_algebra``),
+    and ``twisted.carrier_and_kernel`` checks it unless the structure is
+    verified.
     """
 
     __slots__ = ("parent", "basis", "rows", "pivots", "complement", "_slot", "_algebra")
@@ -740,17 +734,7 @@ class Subalgebra:
 def span_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence[Fraction]]) -> Subalgebra:
     """Canonicalize a spanning set of dense vectors and verify bracket closure."""
     reduced, pivots, rank = rref(Matrix(vectors, g.dim))
-    return closed_subalgebra(g, reduced.sparse_rows[:rank], pivots)
-
-
-def closed_subalgebra(
-    g: LieAlgebra, rows: Sequence[SparseVec], pivots: Sequence[int]
-) -> Subalgebra:
-    """The subalgebra with sparse rref basis rows, after verifying bracket closure.
-
-    The closure check builds the subalgebra's own table (``as_lie_algebra``).
-    """
-    sub = Subalgebra(g, rows, pivots)
+    sub = Subalgebra(g, reduced.sparse_rows[:rank], pivots)
     sub.as_lie_algebra()
     return sub
 
@@ -773,21 +757,42 @@ def annihilator(g: LieAlgebra, p: Subalgebra) -> list[Cochain]:
     ]
 
 
+def trace_adjoint(p: LieAlgebra | Subalgebra) -> Cochain:
+    """The 1-cochain b_s -> Tr(ad_(b_s)|p) on the canonical basis of p; a
+    ``LieAlgebra`` is p = g with unit rows, which gives x -> Tr(ad_x).
+
+    b_t is 1 at its pivot p_t and 0 at the other pivots, so the diagonal
+    entry of ad_(b_s)|p at b_t is (d e*_(p_t))(b_s, b_t).  Each term
+    (i, j, w) of D d e*_(p_t) (``IntegerTable.by_output``) adds
+    w (b_s[i] b_t[j] - b_s[j] b_t[i]) / D; no table of p is built.
+    """
+    if isinstance(p, LieAlgebra):
+        g, rows, pivots = p, [{i: 1} for i in range(p.dim)], range(p.dim)
+    else:
+        g, rows, pivots = p.parent, p.rows, p.pivots
+    view = g.integer_table()
+    column: dict[int, list[tuple[int, Fraction]]] = {}
+    for s, row in enumerate(rows):
+        for i, x in row.items():
+            column.setdefault(i, []).append((s, x))
+    out = [0] * len(rows)
+    for row, m in zip(rows, pivots):
+        for i, j, w in view.by_output[m]:
+            for a, b, f in ((i, j, w), (j, i, -w)):
+                y = row.get(b)
+                if y is not None:
+                    for s, x in column.get(a, ()):
+                        out[s] += f * x * y
+    return Cochain(len(rows), 1, {(s,): Fraction(v, view.scale) for s, v in enumerate(out)})
+
+
 def quotient_character(g: LieAlgebra, p: Subalgebra) -> Cochain:
     """Character of the action X.cl(Y) = cl([X, Y]) of p on g/p.
 
-    The trace of that action is Tr_g(ad_X) - Tr_p(ad_X|p).  Each canonical
-    basis vector b_t is 1 at its pivot p_t and 0 at the other pivots, so the
-    diagonal entry of ad_X|p at b_t is the p_t-coordinate of [X, b_t], its
-    b_t-coordinate in the table of p: Tr_p is ``trace_adjoint`` of p.
+    The trace of that action is Tr_g(ad_X) - Tr_p(ad_X|p): the restriction
+    to p of the modular cocycle of g, minus ``trace_adjoint`` of p.
     """
-    mod_g = trace_adjoint(g).terms
-    mod_p = trace_adjoint(p.as_lie_algebra()).terms
-    values = []
-    for t, row in enumerate(p.rows):
-        value = sum((mod_g.get((k,), 0) * c for k, c in row.items()), Fraction(0))
-        values.append(value - mod_p.get((t,), 0))
-    return Cochain.from_covector(values)
+    return p.restrict_cochain(trace_adjoint(g)) - trace_adjoint(p)
 
 
 def coadjoint_character(g: LieAlgebra, p: Subalgebra, ann: Sequence[Cochain]) -> Cochain:

@@ -25,16 +25,18 @@ Multivector.
 The residual R = T(r) - CYBE_SIGN * r#^*psi is the defect of the dual
 structure: r#[e_a*, e_b*]_r - [r#e_a*, r#e_b*] = -R(e_a*, e_b*, .), and
 with d psi = 0 the dual bracket satisfies Jacobi exactly when R = 0.  So a
-verified structure has both properties without a further check.
+verified structure has both properties without a further check, and its
+carrier p = im r# is a subalgebra: [r#a, r#b] = r#[a, b]_r.
 
 The map r# is kept once, as sparse columns (``sharp_columns``), and no
-dense matrix of it is built: the carrier p = im r# is the row reduction of
-the matrix whose rows are those columns.  The modular class is the image
-under r#, restricted to p, of the character of p acting on g/p.  That
-character and the character of p acting on the kernel ann(p) are computed
-as traces (see ``liealg``) and must be opposite.  Every stage works on
-sparse vectors; dense tuples appear only in results (the representative,
-the relation residuals).
+dense matrix of it is built: the carrier is the row reduction of the
+matrix whose rows are those columns, with no closure pass when the
+structure is verified.  The modular class is the image under r#,
+restricted to p, of the character of p acting on g/p.  That character and
+the character of p acting on the kernel ann(p) are computed as traces
+(see ``liealg``) and must be opposite.  Every stage works on sparse
+vectors; dense tuples appear only in results (the representative, the
+relation residuals).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .liealg import (
     Subalgebra,
     annihilator,
     ce_differential,
-    closed_subalgebra,
     coadjoint_character,
     from_groups,
     quotient_character,
@@ -382,16 +383,20 @@ def carrier_and_kernel(
 
     The image of r# is the span of its columns, so the nonzero rows of the
     rref of the matrix whose rows are the sparse r# columns are the
-    canonical carrier basis, which is checked to be bracket-closed.  The
-    kernel is ann(carrier), the kernel of r#; closure and r#k = 0 make it
-    an abelian ideal of the dual Lie algebra, and ``modular_class`` checks
-    r#k = 0.
+    canonical carrier basis.  On a verified structure the carrier is
+    closed, since [r#a, r#b] = r#[a, b]_r once R = 0; an unverified one
+    gets the closure pass of ``Subalgebra.as_lie_algebra``, which raises
+    NotClosedError.  The kernel is ann(carrier), the kernel of r#; closure
+    and r#k = 0 make it an abelian ideal of the dual Lie algebra, and
+    ``modular_class`` checks r#k = 0.
     """
     if structure._carrier is not None:
         return structure._carrier, structure._kernel
     g = structure.g
     reduced, pivots, rank = rref(Matrix(structure.sharp_columns(), g.dim))
-    carrier = closed_subalgebra(g, reduced.sparse_rows[:rank], pivots)
+    carrier = Subalgebra(g, reduced.sparse_rows[:rank], pivots)
+    if not structure._verified:
+        carrier.as_lie_algebra()
     kernel = annihilator(g, carrier)
     object.__setattr__(structure, "_carrier", carrier)
     object.__setattr__(structure, "_kernel", kernel)
@@ -536,40 +541,28 @@ def relation_check(structure: TwistedTriangularStructure) -> RelationReport:
     report = modular_class(structure)
     theta = report.representative
 
-    mod_g = trace_adjoint(g).to_vector()
-    dual = dual_lie_algebra(structure)
-    mod_dual = trace_adjoint(dual).to_vector()
+    mod_g = trace_adjoint(g)
+    mod_p = trace_adjoint(carrier)
+    mod_dual = trace_adjoint(dual_lie_algebra(structure)).to_vector()
     cols = structure.sharp_columns()
 
-    def apply(cov: Vector, v: SparseVec) -> Fraction:
-        return sum((cov[k] * c for k, c in v.items()), Fraction(0))
+    def apply(cov: Cochain, v: SparseVec) -> Fraction:
+        return sum((cov.terms.get((k,), 0) * c for k, c in v.items()), Fraction(0))
 
     # (i) 2 theta = Mod(dual) - (r#)^* Mod(g); the pullback of a 1-cochain on
     # g along r# has coordinates Mod(g) applied to the columns of r#.
-    pullback = tuple(apply(mod_g, col) for col in cols)
-    res1 = tuple(2 * t - md + pb for t, md, pb in zip(theta, mod_dual, pullback))
+    res1 = tuple(2 * t - md + apply(mod_g, col) for t, md, col in zip(theta, mod_dual, cols))
 
     # (ii) Mod(dual) = (restricted r#)^* (Mod p + theta_p) with theta_p the
     # kernel character; the pullback evaluates on carrier coordinates of the
     # r# images of dual basis covectors.
-    if carrier.dim:
-        p_alg = carrier.as_lie_algebra()
-        mod_p = trace_adjoint(p_alg).to_vector()
-        theta_p = report.chi_kernel.to_vector()
-        combo = tuple(m + t for m, t in zip(mod_p, theta_p))
-        res2 = []
-        for a in range(g.dim):
-            coords = carrier.coords_of(cols[a])
-            if coords is None:
-                raise StructureInvariantError("r# image left the carrier")
-            res2.append(mod_dual[a] - apply(combo, coords))
-        res2 = tuple(res2)
-        # (iii) restriction of Mod(g) to the carrier = Mod p - theta_p
-        res3 = tuple(
-            apply(mod_g, row) - (m - t)
-            for row, m, t in zip(carrier.rows, mod_p, theta_p)
-        )
-    else:
-        res2 = tuple(mod_dual)
-        res3 = ()
-    return RelationReport(res1, res2, res3)
+    combo = mod_p + report.chi_kernel
+    res2 = []
+    for a in range(g.dim):
+        coords = carrier.coords_of(cols[a])
+        if coords is None:
+            raise StructureInvariantError("r# image left the carrier")
+        res2.append(mod_dual[a] - apply(combo, coords))
+    # (iii) restriction of Mod(g) to the carrier = Mod p - theta_p
+    res3 = carrier.restrict_cochain(mod_g) - mod_p + report.chi_kernel
+    return RelationReport(res1, tuple(res2), res3.to_vector())

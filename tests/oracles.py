@@ -24,6 +24,9 @@ of these runs outside the test suite.
   that stores a new slot directly;
 * ``closure_table``: the structure constants of a subalgebra, bracketing
   every pair of dense basis vectors again;
+* ``trace_by_table``: Tr(ad|p) read off the diagonal of the table of p
+  (``Subalgebra.as_lie_algebra``), against ``trace_adjoint``, which traces
+  along the rows of p;
 * ``restrict_by_evaluation`` and ``gram_by_coefficient``: the restriction
   of a cochain by the determinant rule on every tuple of basis vectors, and
   the Gram matrix by one ``coefficient`` call per entry, against the
@@ -342,6 +345,18 @@ def closure_table(p) -> dict[tuple[int, int], dict[int, Fraction]]:
         if entry:
             table[(s, t)] = entry
     return table
+
+
+def trace_by_table(p) -> Cochain:
+    """x -> Tr(ad_x) on the table of p, a ``Subalgebra`` (through
+    ``as_lie_algebra``) or a ``LieAlgebra``: the diagonal entry of ad_(e_s)
+    at e_t is the e_t-coefficient of [e_s, e_t]."""
+    algebra = p if isinstance(p, LieAlgebra) else p.as_lie_algebra()
+    n = algebra.dim
+    return Cochain(n, 1, {
+        (s,): sum((algebra.bracket_basis(s, t).get(t, 0) for t in range(n)), Fraction(0))
+        for s in range(n)
+    })
 
 
 def restrict_by_evaluation(p, c: Cochain) -> Cochain:

@@ -6,6 +6,8 @@ import pytest
 
 import modclass.twisted
 from modclass.catalog import affine_example, q_example
+from modclass.liealg import Multivector, Subalgebra
+from modclass.twisted import TwistedTriangularStructure, carrier_and_kernel
 from modclass.cli import main
 from modclass.structfile import from_catalog_entry, parse, serialize
 from test_golden import RECORD, case_id, run_case
@@ -171,6 +173,30 @@ class TestVerify:
             run_case("modular", fmt, name)
 
 
+class TestCarrierTable:
+    """On a verified structure the carrier is closed by theorem, so no
+    command builds its table (``Subalgebra.as_lie_algebra``)."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["affine", "q3", "gg3"])
+    @pytest.mark.parametrize("command", ["verify", "modular", "relations"])
+    def test_builds_no_carrier_table(self, monkeypatch, command, name, fmt):
+        def refuse(self):
+            raise AssertionError("the carrier table was built")
+
+        # an unverified perturbed structure, built before the patch, since
+        # the catalog checks the closure of its subalgebras
+        base = affine_example().structure
+        r = base.r + Multivector(base.g.dim, 2, {(0, 1): Fraction(1)})
+        unverified = TwistedTriangularStructure.unchecked(base.g, r, base.psi)
+        monkeypatch.setattr(Subalgebra, "as_lie_algebra", refuse)
+        expected = json.loads(RECORD.read_text(encoding="utf-8"))
+        assert run_case(command, fmt, name) == expected[case_id(command, fmt, name)]
+        # the patch is live: the unverified structure gets the closure pass
+        with pytest.raises(AssertionError, match="carrier table"):
+            carrier_and_kernel(unverified)
+
+
 class TestLongCoefficients:
     """A report coefficient too long for str(int) is still written exactly."""
 
@@ -247,6 +273,29 @@ class TestRelations:
         assert main(["relations", str(affine_file)]) == 0
         out = capsys.readouterr().out
         assert out.count(": 0") >= 3
+
+    def test_zero_carrier(self, tmp_path, capsys):
+        # r = 0 and psi = 0 on gl(3): the carrier is the zero subalgebra
+        from modclass.catalog import gl
+        from modclass.liealg import Cochain, Multivector
+        from modclass.structfile import StructureData
+
+        path = tmp_path / "gl3_zero.lie"
+        data = StructureData(algebra=gl(3), r=Multivector.zero(9, 2), psi=Cochain.zero(9, 3))
+        path.write_text(serialize(data), encoding="utf-8")
+        assert main(["relations", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-4:] == [
+            "modular_vs_relative: 0",
+            "dual_vs_carrier: 0",
+            "restriction_vs_carrier: 0",
+            "status: OK",
+        ]
+        assert main(["relations", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["modular_vs_relative"] == {}
+        assert payload["dual_vs_carrier"] == {}
+        assert payload["restriction_vs_carrier"] == {}
+        assert payload["status"] == "ok"
 
 
 class TestFrobenius:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import heisenberg, make_random_linearize_input, random_cochain, solvable4
 from modclass.catalog import affine_algebra, gl, q_subalgebra, sl
-from modclass.frobenius import linearize
+from modclass.frobenius import DegenerateFormError, linearize
 from modclass.liealg import (
     Cochain,
     JacobiReport,
@@ -44,6 +44,7 @@ from oracles import (
     mat_trace,
     matmul,
     restrict_by_evaluation,
+    trace_by_table,
     zeros,
 )
 
@@ -145,6 +146,23 @@ class TestIntegerTable:
         cybe_lhs_trivector(g, st.r)
         assert g.integer_table() is view
         assert LieAlgebra([], {}).integer_table().scale == 1
+
+
+class TestTableKeys:
+    def test_stores_the_callers_key(self, gl_algebras):
+        # the table keeps the caller's (i, j) tuple, not a copy of it
+        source = gl_algebras[3].table
+        g = LieAlgebra(gl_algebras[3].labels, source)
+        assert g.table == source
+        for key in source:
+            stored = next(k for k in g.table if k == key)
+            assert stored is key
+
+    def test_zero_entries_and_bad_keys(self):
+        g = LieAlgebra(["a", "b", "c"], {(0, 1): {2: 1}, (0, 2): {}}, check=False)
+        assert g.table == {(0, 1): {2: 1}}
+        with pytest.raises(ValueError, match=r"bracket key \(1, 0\)"):
+            LieAlgebra(["a", "b"], {(1, 0): {0: 1}})
 
 
 def jacobi_by_triples(g):
@@ -556,9 +574,11 @@ class TestSubalgebra:
         ]
         p = span_subalgebra(g, [g.basis_vector(c) for c in coords])
         assert p.as_lie_algebra().table == closure_table(p)
+        assert trace_adjoint(p) == trace_by_table(p)
 
     def test_closure_table_on_rref_rows(self, affine_entry, gg_entries):
-        # carriers whose rows are not unit vectors
+        # the carriers as carrier_and_kernel builds them (their rref rows are
+        # unit vectors; TestTraceAlongRows::test_non_unit_rows has others)
         for st_ in (affine_entry.structure, gg_entries[3].structure, gg_entries[4].structure):
             carrier, _ = carrier_and_kernel(st_)
             assert carrier.as_lie_algebra().table == closure_table(carrier)
@@ -1021,6 +1041,79 @@ class TestTraceAdjoint:
             ta = trace_adjoint(g).to_vector()
             for m in range(g.dim):
                 assert ta[m] == mat_trace(ad_matrix(g, g.basis_vector(m)))
+
+
+class TestTraceAlongRows:
+    """``trace_adjoint`` of a subalgebra, traced along its rows, against the
+    trace read off its own table (``trace_by_table``)."""
+
+    def test_affine(self, affine_entry):
+        for p in (affine_entry.subalgebra, carrier_and_kernel(affine_entry.structure)[0]):
+            assert trace_adjoint(p) == trace_by_table(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_catalog_carriers(self, n, q_entries, gg_entries):
+        for entry in (q_entries[n], gg_entries[n]):
+            carrier, _ = carrier_and_kernel(entry.structure)
+            assert trace_adjoint(carrier) == trace_by_table(carrier)
+
+    def test_seeded_linearizations(self):
+        rng = random.Random(304)
+        for _ in range(12):
+            carrier, _ = carrier_and_kernel(linearize(*make_random_linearize_input(rng)))
+            assert trace_adjoint(carrier) == trace_by_table(carrier)
+
+    def test_non_unit_rows(self):
+        # the catalog carriers have unit rows; linearizations on coordinate
+        # spans of gl(3) conjugated by I + t e_ab give carriers whose rref
+        # rows have entries other than 0 and 1
+        g = gl(3)
+        rng = random.Random(305)
+        pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+        traces = []
+        for coords in (["e11", "e12"], ["e11", "e22", "e12", "e13"]):
+            cases = 0
+            while cases < 8:
+                moves = [(a, b, rng.choice([-2, -1, 1, 2])) for a, b in rng.sample(pairs, 2)]
+                p = span_subalgebra(g, _conjugated_span(g, 3, [g.index(c) for c in coords], moves))
+                if all(c in (0, 1) for row in p.rows for c in row.values()):
+                    continue
+                try:
+                    st_ = linearize(g, p, random_cochain(rng, g.dim, 2))
+                except DegenerateFormError:
+                    continue
+                carrier, _ = carrier_and_kernel(st_)
+                assert carrier.rows == p.rows
+                traces.append(trace_adjoint(carrier))
+                assert traces[-1] == trace_by_table(carrier)
+                cases += 1
+        assert not any(t.is_zero() for t in traces)
+
+    def test_tables_with_scale_above_one(self, gg_entries):
+        from test_twisted import gl3_rescaled
+
+        g = gl3_rescaled()
+        dual = dual_lie_algebra(gg_entries[3].structure)
+        assert g.integer_table().scale == 6 and dual.integer_table().scale == 3
+        for h in (g, dual):
+            assert trace_adjoint(h) == trace_by_table(h)
+            assert trace_adjoint(whole_algebra(h)) == trace_by_table(h)
+        # the rescaled algebra is gl(3) in the basis s_k e_k, so a span that
+        # is closed in gl(3) is closed there once divided by the s_k
+        s = [1, 2, Fraction(1, 3), 1, 3, 1, Fraction(1, 2), 1, 1]
+        base = gl(3)
+        span = _conjugated_span(base, 3, [base.index(c) for c in ("e11", "e12", "e22")], [(0, 1, 2)])
+        p = span_subalgebra(g, [tuple(x / sk for x, sk in zip(v, s)) for v in span])
+        assert trace_adjoint(p) == trace_by_table(p)
+        assert not trace_adjoint(p).is_zero()
+        # the kernel of gg(3) is an abelian ideal of the dual, so it traces to 0
+        _, kernel = carrier_and_kernel(gg_entries[3].structure)
+        ideal = span_subalgebra(dual, [k.to_vector() for k in kernel])
+        assert trace_adjoint(ideal) == trace_by_table(ideal) == Cochain.zero(len(kernel), 1)
+
+    def test_zero_subalgebra(self, gl_algebras):
+        p = span_subalgebra(gl_algebras[3], [])
+        assert trace_adjoint(p) == trace_by_table(p) == Cochain.zero(0, 1)
 
 
 class TestFormatting:

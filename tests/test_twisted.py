@@ -780,6 +780,22 @@ class TestRelations:
         rel = relation_check(st)
         assert rel.passed
 
+    def test_zero_carrier(self, gl_algebras):
+        # r = 0: the carrier is the zero subalgebra, the dual is abelian, and
+        # every residual is zero, with no carrier coordinates at all; on a
+        # solvable algebra Mod(g) != 0 but its pullback along r# = 0 vanishes
+        from conftest import solvable4
+
+        for g in (gl_algebras[3], solvable4()):
+            for psi in (Cochain.zero(g.dim, 3), ce_differential(g, random_cochain(random.Random(7), g.dim, 2))):
+                st = TwistedTriangularStructure(g, Multivector.zero(g.dim, 2), psi)
+                assert carrier_and_kernel(st)[0].dim == 0
+                rel = relation_check(st)
+                assert rel.modular_vs_relative == (0,) * g.dim
+                assert rel.dual_vs_carrier == (0,) * g.dim
+                assert rel.restriction_vs_carrier == ()
+                assert rel.passed
+
     def test_identity_one_spelled_out(self, q_entries):
         # 2 theta = Mod(dual) - pullback of Mod(g) along r#, coordinatewise
         from modclass.liealg import trace_adjoint
