@@ -1102,7 +1102,8 @@ class TestTraceAlongRows:
         # is closed in gl(3) is closed there once divided by the s_k
         s = [1, 2, Fraction(1, 3), 1, 3, 1, Fraction(1, 2), 1, 1]
         base = gl(3)
-        span = _conjugated_span(base, 3, [base.index(c) for c in ("e11", "e12", "e22")], [(0, 1, 2)])
+        coords = [base.index(c) for c in ("e11", "e12", "e22")]
+        span = _conjugated_span(base, 3, coords, [(0, 1, 2)])
         p = span_subalgebra(g, [tuple(x / sk for x, sk in zip(v, s)) for v in span])
         assert trace_adjoint(p) == trace_by_table(p)
         assert not trace_adjoint(p).is_zero()
