@@ -16,7 +16,9 @@ from .liealg import (
     Multivector,
     Subalgebra,
     ce_differential,
+    pullback,
     quotient_character,
+    transpose,
 )
 from .linalg import Matrix, NoSolutionError, SingularMatrixError, Vector, invert, solve
 from .twisted import TwistedTriangularStructure
@@ -83,20 +85,10 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
     except SingularMatrixError as exc:
         witness = p.from_coords(exc.kernel[0])
         raise DegenerateFormError("2-cochain is degenerate on the subalgebra", witness)
-    # r = sum over s < t of -coeff[s, t] b_s ^ b_t, summed into one dict
-    support = [list(row.items()) for row in p.rows]
-    acc: dict[tuple[int, int], Fraction] = {}
-    for s, row in enumerate(coeff.sparse_rows):
-        for t, x in row.items():
-            if t <= s:
-                continue
-            for i, bi in support[s]:
-                for j, bj in support[t]:
-                    if i < j:
-                        acc[(i, j)] = acc.get((i, j), 0) - x * bi * bj
-                    elif j < i:
-                        acc[(j, i)] = acc.get((j, i), 0) + x * bi * bj
-    return Multivector(p.parent.dim, 2, acc)
+    # r = sum over s < t of -coeff[s, t] b_s ^ b_t, pushed forward along
+    # the inclusion, whose columns are the rows b_s of p
+    upper = {(s, t): -x for s, row in enumerate(coeff.sparse_rows) for t, x in row.items() if s < t}
+    return pullback(Multivector(p.dim, 2, upper), transpose(p.rows, p.parent.dim))
 
 
 def linearize(g: LieAlgebra, p: Subalgebra, mu: Cochain) -> TwistedTriangularStructure:

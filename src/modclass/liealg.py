@@ -41,8 +41,9 @@ appear only at the public boundary (``basis``, ``basis_vector``,
 itself: ``span_subalgebra`` does, by ``as_lie_algebra``, which brackets
 each pair of basis rows once and keeps the structure constants; the
 carrier of a verified structure is closed by theorem (see ``twisted``).
-``restrict_cochain`` pulls each term back along the rows, which agrees with
-the determinant rule of ``Cochain.evaluate``, the test suite's oracle.
+``restrict_cochain`` pulls each term back along the rows (``pullback``),
+which agrees with the determinant rule of ``Cochain.evaluate``, the test
+suite's oracle.
 ``annihilator`` reads ann(p) off the rows by ``linalg.null_space``.
 
 A subalgebra p acts on g/p and, by the coadjoint action, on the
@@ -287,23 +288,6 @@ class LieAlgebra:
             return JacobiReport(False, triple, self.jacobiator(*triple))
         return JacobiReport(True)
 
-    def format_vector(self, x: Sequence[Fraction]) -> str:
-        terms = []
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(("+", self.labels[i]))
-            elif c == -1:
-                terms.append(("-", self.labels[i]))
-            else:
-                sign = "+" if c > 0 else "-"
-                terms.append((sign, f"{abs(c)} {self.labels[i]}"))
-        if not terms:
-            return "0"
-        head = terms[0][1] if terms[0][0] == "+" else f"-{terms[0][1]}"
-        return head + "".join(f" {s} {t}" for s, t in terms[1:])
-
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={list(self.labels)})"
 
@@ -535,6 +519,42 @@ def interior(alpha: Cochain, m: Multivector) -> Multivector:
     return Multivector(m.dim, m.degree - 1, acc)
 
 
+def transpose(rows: Sequence[SparseVec], width: int) -> list[SparseVec]:
+    """The sparse rows of the transpose of the matrix with these sparse
+    rows of length ``width``: row i of the result maps s to rows[s][i]."""
+    out: list[SparseVec] = [{} for _ in range(width)]
+    for s, row in enumerate(rows):
+        for i, x in row.items():
+            out[i][s] = x
+    return out
+
+
+def pullback(c: _Alternating, rows: Sequence[SparseVec]):
+    """The pullback of a cochain along e_s -> rows[s], with value
+    c(rows[s_1], ..., rows[s_k]) at s_1 < ... < s_k; for a multivector, the
+    pushforward along the map with these matrix rows (``transpose`` of its
+    columns).  A term coeff e*_(i_1) ^ ... ^ e*_(i_k) adds coeff *
+    rows[s_1][i_1] * ... * rows[s_k][i_k], with the sign of sorting the
+    distinct s_t, which expands the determinant rule of ``Cochain.evaluate``.
+    """
+    column = transpose(rows, c.dim)
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, coeff in c.terms.items():
+        choices = [column[i] for i in idx]
+        if not all(choices):
+            continue
+        for pick in itertools.product(*(choice.items() for choice in choices)):
+            key, sign = _sort_with_sign([s for s, _ in pick])
+            if sign == 0:
+                continue
+            value = coeff if sign > 0 else -coeff
+            for _, x in pick:
+                value *= x
+            old = acc.get(key)
+            acc[key] = value if old is None else old + value
+    return type(c)(len(rows), c.degree, acc)
+
+
 # numerators of an alternating form, one accumulator per denominator q
 Groups = dict[int, dict[tuple[int, ...], int]]
 
@@ -686,36 +706,11 @@ class Subalgebra:
         return self._algebra
 
     def restrict_cochain(self, c: Cochain) -> Cochain:
-        """Pull a cochain on the parent back along the inclusion.
-
-        The restriction of e*_i to the subalgebra is the sum over s of
-        rows[s][i] b*_s, so a term coeff e*_(i_1) ^ ... ^ e*_(i_k) adds
-        coeff * rows[s_1][i_1] * ... * rows[s_k][i_k] to the sorted slot
-        tuple of each choice of distinct slots s_1, ..., s_k, with the sign
-        of that sort.  Expanding the determinant rule of ``Cochain.evaluate``
-        on the basis gives the same sums; here only the slots whose rows are
-        nonzero at i_t are visited.
-        """
+        """Pull a cochain on the parent back along the inclusion, the map
+        b_s -> rows[s] (``pullback``)."""
         if c.dim != self.parent.dim:
             raise ValueError("cochain is not on the parent algebra")
-        column: dict[int, list[tuple[int, Fraction]]] = {}
-        for s, row in enumerate(self.rows):
-            for i, x in row.items():
-                column.setdefault(i, []).append((s, x))
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for idx, coeff in c.terms.items():
-            choices = [column.get(i) for i in idx]
-            if not all(choices):
-                continue
-            for pick in itertools.product(*choices):
-                key, sign = _sort_with_sign([s for s, _ in pick])
-                if sign == 0:
-                    continue
-                value = coeff if sign > 0 else -coeff
-                for _, x in pick:
-                    value *= x
-                acc[key] = acc.get(key, 0) + value
-        return Cochain(self.dim, c.degree, acc)
+        return pullback(c, self.rows)
 
     def extend_cochain_by_zero(self, c: Cochain) -> Cochain:
         """Extend a 1-cochain on the subalgebra to the parent.
@@ -771,17 +766,14 @@ def trace_adjoint(p: LieAlgebra | Subalgebra) -> Cochain:
     else:
         g, rows, pivots = p.parent, p.rows, p.pivots
     view = g.integer_table()
-    column: dict[int, list[tuple[int, Fraction]]] = {}
-    for s, row in enumerate(rows):
-        for i, x in row.items():
-            column.setdefault(i, []).append((s, x))
+    column = transpose(rows, g.dim)
     out = [0] * len(rows)
     for row, m in zip(rows, pivots):
         for i, j, w in view.by_output[m]:
             for a, b, f in ((i, j, w), (j, i, -w)):
                 y = row.get(b)
                 if y is not None:
-                    for s, x in column.get(a, ()):
+                    for s, x in column[a].items():
                         out[s] += f * x * y
     return Cochain(len(rows), 1, {(s,): Fraction(v, view.scale) for s, v in enumerate(out)})
 

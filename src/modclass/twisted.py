@@ -37,6 +37,12 @@ the character of p acting on the kernel ann(p) are computed as traces
 (see ``liealg``) and must be opposite.  Every stage works on sparse
 vectors; dense tuples appear only in results (the representative, the
 relation residuals).
+
+The modular class and the relations read the dual algebra only through
+contractions along r#, the pairing of a dual bracket with a vector
+(``_dual_pairing``) and Mod(dual) (``_dual_modular``), each one
+``liealg.pullback`` along the r# columns; only ``dual_lie_algebra`` builds
+the dual table.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from fractions import Fraction
 from .liealg import (
     Cochain,
     Groups,
-    JacobiViolationError,
     LieAlgebra,
     Multivector,
     Subalgebra,
@@ -56,8 +61,10 @@ from .liealg import (
     ce_differential,
     coadjoint_character,
     from_groups,
+    pullback,
     quotient_character,
     trace_adjoint,
+    transpose,
 )
 from .linalg import Matrix, SparseVec, Vector, dense, rref, sparse
 
@@ -226,8 +233,6 @@ class TwistedTriangularStructure:
         "_sharp_cols",
         "_carrier",
         "_kernel",
-        "_dual",
-        "_dual_table",
         "_modular",
         "_verified",
     )
@@ -240,8 +245,6 @@ class TwistedTriangularStructure:
         object.__setattr__(self, "_sharp_cols", None)
         object.__setattr__(self, "_carrier", None)
         object.__setattr__(self, "_kernel", None)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_dual_table", None)
         object.__setattr__(self, "_modular", None)
         object.__setattr__(self, "_verified", False)
         if check:
@@ -305,7 +308,7 @@ _PSI_SLOTS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 2, -1), (0, 2, 1,
 
 
 def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """Dual structure constants [e_a*, e_b*] for a < b, built once, sparsely.
+    """Dual structure constants [e_a*, e_b*] for a < b, built sparsely.
 
     The bracket ad*_x b - ad*_y a + psi(x, y, .) of the dual basis
     covectors a = e_a*, b = e_b*, summed straight from their images
@@ -316,64 +319,87 @@ def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], 
     * psi(x, y, e_w) sums sign * c * x_u * y_v over the six orderings
       (u, v, w) of each term c e_p* ^ e_q* ^ e_s* of psi.
     """
-    if structure._dual_table is None:
-        g = structure.g
-        cols = structure.sharp_columns()
-        adj = g.adjacency()
-        acc: dict[tuple[int, int], dict[int, Fraction]] = {}
+    g = structure.g
+    cols = structure.sharp_columns()
+    adj = g.adjacency()
+    acc: dict[tuple[int, int], dict[int, Fraction]] = {}
 
-        def add(a: int, b: int, j: int, value: Fraction) -> None:
-            entry = acc.setdefault((a, b), {})
-            entry[j] = entry.get(j, 0) + value
+    def add(a: int, b: int, j: int, value: Fraction) -> None:
+        entry = acc.setdefault((a, b), {})
+        entry[j] = entry.get(j, 0) + value
 
-        for a, col in enumerate(cols):
-            for i, xi in col.items():
-                for j, entry, sign in adj[i]:
-                    for k, c in entry.items():
-                        # sign * xi * c is the e_k-coefficient of [x, e_j]
-                        if a < k:
-                            add(a, k, j, -sign * xi * c)
-                        elif k < a:
-                            add(k, a, j, sign * xi * c)
+    for a, col in enumerate(cols):
+        for i, xi in col.items():
+            for j, entry, sign in adj[i]:
+                for k, c in entry.items():
+                    # sign * xi * c is the e_k-coefficient of [x, e_j]
+                    if a < k:
+                        add(a, k, j, -sign * xi * c)
+                    elif k < a:
+                        add(k, a, j, sign * xi * c)
 
-        # rows[m] maps a to the m-th coordinate of r#e_a*; r# is skew, so
-        # that is minus the a-th coordinate of r#e_m*
-        rows = [{a: -v for a, v in col.items()} for col in cols]
-        for idx, c in structure.psi.terms.items():
-            for u, v, w, sign in _PSI_SLOTS:
-                signed = sign * c
-                for a, xa in rows[idx[u]].items():
-                    for b, yb in rows[idx[v]].items():
-                        if a < b:
-                            add(a, b, idx[w], signed * xa * yb)
+    # rows[m] maps a to the m-th coordinate of r#e_a*
+    rows = transpose(cols, g.dim)
+    for idx, c in structure.psi.terms.items():
+        for u, v, w, sign in _PSI_SLOTS:
+            signed = sign * c
+            for a, xa in rows[idx[u]].items():
+                for b, yb in rows[idx[v]].items():
+                    if a < b:
+                        add(a, b, idx[w], signed * xa * yb)
 
-        table = {}
-        for key in sorted(acc):
-            entry = {j: v for j, v in sorted(acc[key].items()) if v != 0}
-            if entry:
-                table[key] = entry
-        object.__setattr__(structure, "_dual_table", table)
-    return structure._dual_table
+    table = {}
+    for key in sorted(acc):
+        entry = {j: v for j, v in sorted(acc[key].items()) if v != 0}
+        if entry:
+            table[key] = entry
+    return table
 
 
 def dual_lie_algebra(structure: TwistedTriangularStructure, *, check: bool = False) -> LieAlgebra:
-    """The Lie algebra on the dual space defined by the structure.
+    """The Lie algebra on the dual space defined by the structure, built on
+    each call.  Jacobi is guaranteed by the twisted Yang-Baxter equation;
+    for an unchecked structure with a nonzero residual, ``check_jacobi()``
+    of the result reports the failing triple, and ``check=True`` raises
+    JacobiViolationError."""
+    labels = tuple(f"{lab}*" for lab in structure.g.labels)
+    return LieAlgebra(labels, _dual_table(structure), check=check)
 
-    It is built once, without a Jacobi check, and cached.  Jacobi is
-    guaranteed by the twisted Yang-Baxter equation; for an unchecked
-    structure with a nonzero residual, ``check_jacobi()`` of the result
-    reports the failing triple.  ``check=True`` runs that check on every
-    call and raises JacobiViolationError when it fails.
+
+def _first_slot(psi: Cochain):
+    """(i, (j, k), psi(e_i, e_j, e_k)) with j < k, for each term of psi and
+    each of its three indices i."""
+    for (p, q, s), c in psi.terms.items():
+        yield p, (q, s), c
+        yield q, (p, s), -c
+        yield s, (p, q), c
+
+
+def _dual_pairing(structure: TwistedTriangularStructure, theta: SparseVec) -> Cochain:
+    """The 2-cochain (a, b) -> <[e_a*, e_b*]_r, theta> on the dual basis.
+
+    With x_a = r#e_a*, the pairing is -e_b*([x_a, theta]) +
+    e_a*([x_b, theta]) + psi(x_a, x_b, theta): one bracket with theta for
+    each a, and the pullback along r# of the 2-form psi(theta, ., .).
     """
-    if structure._dual is None:
-        labels = tuple(f"{lab}*" for lab in structure.g.labels)
-        algebra = LieAlgebra(labels, _dual_table(structure), check=False)
-        object.__setattr__(structure, "_dual", algebra)
-    if check:
-        report = structure._dual.check_jacobi()
-        if not report.ok:
-            raise JacobiViolationError(report.triple, report.residual)
-    return structure._dual
+    g, cols = structure.g, structure.sharp_columns()
+    brackets = (((a, b), -c) for a, x in enumerate(cols) for b, c in g.bracket(x, theta).items())
+    contracted = ((jk, c * theta[i]) for i, jk, c in _first_slot(structure.psi) if i in theta)
+    return Cochain(g.dim, 2, brackets) + pullback(Cochain(g.dim, 2, contracted), cols)
+
+
+def _dual_modular(structure: TwistedTriangularStructure) -> Cochain:
+    """Mod(dual)(e_a*), the sum over b of <[e_a*, e_b*]_r, e_b>.
+
+    With x_a = r#e_a* and sum over b of x_b (x) e_b = -r, it is
+    -Mod(g)(x_a) + e_a*(v) + w(x_a) for v = -2 sum over i < j of
+    r^ij [e_i, e_j] and w(y) = -2 sum over i < j of r^ij psi(y, e_i, e_j).
+    """
+    g, r = structure.g, structure.r
+    v = (((k,), -2 * x * c) for ij, x in r.terms.items() for k, c in g.table.get(ij, {}).items())
+    w = (((i,), -2 * c * r.terms[jk]) for i, jk, c in _first_slot(structure.psi) if jk in r.terms)
+    pulled = pullback(Cochain(g.dim, 1, w) - trace_adjoint(g), structure.sharp_columns())
+    return pulled + Cochain(g.dim, 1, v)
 
 
 def carrier_and_kernel(
@@ -480,13 +506,9 @@ def modular_class(structure: TwistedTriangularStructure) -> ModularClassReport:
         "representative lies in the carrier",
     )
 
-    table = _dual_table(structure)
-    cocycle = all(
-        sum((c * sparse_rep[k] for k, c in entry.items() if k in sparse_rep), Fraction(0)) == 0
-        for entry in table.values()
-    )
     checks["cocycle_on_dual"] = CrossCheck(
-        cocycle, "representative annihilates the derived algebra of the dual"
+        _dual_pairing(structure, sparse_rep).is_zero(),
+        "representative annihilates the derived algebra of the dual",
     )
 
     checks["sharp_homomorphism"] = CrossCheck(
@@ -539,30 +561,22 @@ def relation_check(structure: TwistedTriangularStructure) -> RelationReport:
     g = structure.g
     carrier, _ = carrier_and_kernel(structure)
     report = modular_class(structure)
-    theta = report.representative
+    cols = structure.sharp_columns()
 
     mod_g = trace_adjoint(g)
     mod_p = trace_adjoint(carrier)
-    mod_dual = trace_adjoint(dual_lie_algebra(structure)).to_vector()
-    cols = structure.sharp_columns()
+    mod_dual = _dual_modular(structure)
 
-    def apply(cov: Cochain, v: SparseVec) -> Fraction:
-        return sum((cov.terms.get((k,), 0) * c for k, c in v.items()), Fraction(0))
-
-    # (i) 2 theta = Mod(dual) - (r#)^* Mod(g); the pullback of a 1-cochain on
-    # g along r# has coordinates Mod(g) applied to the columns of r#.
-    res1 = tuple(2 * t - md + apply(mod_g, col) for t, md, col in zip(theta, mod_dual, cols))
+    # (i) 2 theta = Mod(dual) - (r#)^* Mod(g)
+    res1 = 2 * Cochain.from_covector(report.representative) - mod_dual + pullback(mod_g, cols)
 
     # (ii) Mod(dual) = (restricted r#)^* (Mod p + theta_p) with theta_p the
-    # kernel character; the pullback evaluates on carrier coordinates of the
-    # r# images of dual basis covectors.
-    combo = mod_p + report.chi_kernel
-    res2 = []
-    for a in range(g.dim):
-        coords = carrier.coords_of(cols[a])
-        if coords is None:
-            raise StructureInvariantError("r# image left the carrier")
-        res2.append(mod_dual[a] - apply(combo, coords))
+    # kernel character: the pullback along the carrier coordinates of the
+    # r# images of dual basis covectors
+    coords = [carrier.coords_of(col) for col in cols]
+    if any(c is None for c in coords):
+        raise StructureInvariantError("r# image left the carrier")
+    res2 = mod_dual - pullback(mod_p + report.chi_kernel, coords)
     # (iii) restriction of Mod(g) to the carrier = Mod p - theta_p
     res3 = carrier.restrict_cochain(mod_g) - mod_p + report.chi_kernel
-    return RelationReport(res1, tuple(res2), res3.to_vector())
+    return RelationReport(res1.to_vector(), res2.to_vector(), res3.to_vector())

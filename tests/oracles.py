@@ -14,6 +14,8 @@ of these runs outside the test suite.
 * ``sharp_homomorphism_residuals``: r# applied to every dual table entry
   against the bracket of two r# columns, a verdict that ``verify`` and
   ``modular_class`` read off the zero Yang-Baxter residual;
+* ``cocycle_by_table``: a covector paired with every dual table entry,
+  against the closed form along r# of ``modular_class``;
 * ``is_frobenius``: degeneracy of xi([., .]) by its own elimination, against
   ``frobenius_modular``;
 * ``ce_differential_fraction``, ``cybe_lhs_trivector_fraction`` and
@@ -27,10 +29,11 @@ of these runs outside the test suite.
 * ``trace_by_table``: Tr(ad|p) read off the diagonal of the table of p
   (``Subalgebra.as_lie_algebra``), against ``trace_adjoint``, which traces
   along the rows of p;
-* ``restrict_by_evaluation`` and ``gram_by_coefficient``: the restriction
-  of a cochain by the determinant rule on every tuple of basis vectors, and
-  the Gram matrix by one ``coefficient`` call per entry, against the
-  pullback of terms;
+* ``restrict_by_evaluation``, ``pullback_by_evaluation`` and
+  ``gram_by_coefficient``: the restriction of a cochain and the pullback of
+  a form along any rows by the determinant rule on every tuple of basis
+  vectors or rows, and the Gram matrix by one ``coefficient`` call per
+  entry, against the pullback of terms;
 * ``entries``, ``column`` and ``from_columns``: the dense rows and columns
   of a ``Matrix``, which stores sparse rows, and a matrix from dense
   columns;
@@ -50,10 +53,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
+from modclass import twisted
 from modclass.frobenius import DegenerateFormError, _gram, invert_cochain, mu_from_xi
 from modclass.liealg import Cochain, LieAlgebra, Multivector, _sort_with_sign, ce_differential
 from modclass.linalg import Matrix, SingularMatrixError, Vector, dense, invert, kernel_basis, rat
-from modclass.twisted import TwistedTriangularStructure, _dual_table, _sharp_columns
+from modclass.twisted import TwistedTriangularStructure, _sharp_columns
 
 
 def entries(m: Matrix) -> tuple[Vector, ...]:
@@ -206,12 +210,23 @@ def sharp_homomorphism_residuals(structure: TwistedTriangularStructure) -> Multi
     the sparse bracket of two columns; neither side stores a zero.
     """
     g = structure.g
-    table = _dual_table(structure)
+    # read through the module, so that a test can substitute the table
+    table = twisted._dual_table(structure)
     cols = structure.sharp_columns()
     for a, b in itertools.combinations(range(g.dim), 2):
         if structure.sharp_apply(table.get((a, b), {})) != g.bracket(cols[a], cols[b]):
             return Multivector(g.dim, 2, {(a, b): Fraction(1)})
     return None
+
+
+def cocycle_by_table(structure: TwistedTriangularStructure, theta: Mapping[int, Fraction]) -> bool:
+    """Whether theta pairs to zero with every entry of the dual table, the
+    ``cocycle_on_dual`` verdict that ``modular_class`` reads off the
+    closed form along r#."""
+    return all(
+        sum((c * theta[k] for k, c in entry.items() if k in theta), Fraction(0)) == 0
+        for entry in twisted._dual_table(structure).values()
+    )
 
 
 @dataclass(frozen=True)
@@ -367,6 +382,16 @@ def restrict_by_evaluation(p, c: Cochain) -> Cochain:
         if value != 0:
             terms[idx] = value
     return Cochain(p.dim, c.degree, terms)
+
+
+def pullback_by_evaluation(c, rows) -> Cochain | Multivector:
+    """c along e_s -> rows[s]: the determinant rule on every tuple of rows."""
+    vectors = [dense(row, c.dim) for row in rows]
+    terms = {
+        idx: c.evaluate(*(vectors[s] for s in idx))
+        for idx in itertools.combinations(range(len(rows)), c.degree)
+    }
+    return type(c)(len(rows), c.degree, terms)
 
 
 def gram_by_coefficient(mu: Cochain) -> Matrix:

@@ -156,21 +156,36 @@ class TestVerify:
         assert payload["status"] == "verified"
         assert payload["yang_baxter"] is True
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("name", ["affine", "q3", "gg3"])
-    def test_builds_no_dual_table(self, monkeypatch, name, fmt):
+    @pytest.mark.parametrize(
+        "command, name, fmt",
+        [
+            # the verify cases keep the ids they had before modular and
+            # relations joined them
+            pytest.param(
+                command,
+                name,
+                fmt,
+                id=f"{name}-{fmt}" if command == "verify" else f"{command}-{name}-{fmt}",
+            )
+            for command in ("verify", "modular", "relations")
+            for name in ("affine", "q3", "gg3")
+            for fmt in ("text", "json")
+        ],
+    )
+    def test_builds_no_dual_table(self, monkeypatch, command, name, fmt):
         # verify takes the homomorphism and dual Jacobi verdicts from the
-        # zero Yang-Baxter residual; every route to the dual table goes
-        # through _dual_table, so a verify that built it would raise here
+        # zero Yang-Baxter residual, and modular and relations read the dual
+        # through closed forms along r#; every route to the dual table goes
+        # through _dual_table, so a command that built it would raise here
         def refuse(structure):
             raise AssertionError("the dual table was built")
 
         monkeypatch.setattr(modclass.twisted, "_dual_table", refuse)
         expected = json.loads(RECORD.read_text(encoding="utf-8"))
-        assert run_case("verify", fmt, name) == expected[case_id("verify", fmt, name)]
-        # the patch is live: modular_class reads the table
+        assert run_case(command, fmt, name) == expected[case_id(command, fmt, name)]
+        # the patch is live: dual_lie_algebra reads the table
         with pytest.raises(AssertionError, match="dual table"):
-            run_case("modular", fmt, name)
+            modclass.twisted.dual_lie_algebra(affine_example().structure)
 
 
 class TestCarrierTable:

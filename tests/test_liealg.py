@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import heisenberg, make_random_linearize_input, random_cochain, solvable4
+from conftest import (
+    heisenberg,
+    make_random_linearize_input,
+    random_cochain,
+    random_multivector,
+    solvable4,
+)
 from modclass.catalog import affine_algebra, gl, q_subalgebra, sl
 from modclass.frobenius import DegenerateFormError, linearize
 from modclass.liealg import (
@@ -22,6 +28,7 @@ from modclass.liealg import (
     coadjoint_character,
     interior,
     pair,
+    pullback,
     quotient_character,
     span_subalgebra,
     trace_adjoint,
@@ -43,6 +50,7 @@ from oracles import (
     alternating_terms,
     mat_trace,
     matmul,
+    pullback_by_evaluation,
     restrict_by_evaluation,
     trace_by_table,
     zeros,
@@ -722,6 +730,41 @@ class TestRestrictAgainstEvaluation:
         c = Cochain(g.dim, degree, terms)
         assert p.restrict_cochain(c) == restrict_by_evaluation(p, c)
 
+class TestPullbackAgainstEvaluation:
+    """``pullback`` along rows that are no rref basis, the r# columns and
+    their carrier coordinates, against the determinant rule of ``evaluate``;
+    for a multivector the same sums are a pushforward."""
+
+    @staticmethod
+    def check_structure(st, rng):
+        cols = st.sharp_columns()
+        carrier, _ = carrier_and_kernel(st)
+        coords = [carrier.coords_of(col) for col in cols]
+        for rows, width in ((cols, st.g.dim), (coords, carrier.dim)):
+            for degree in (1, 2, 3):
+                for make in (random_cochain, random_multivector):
+                    scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                    c = scale * make(rng, width, degree, density=0.2)
+                    assert pullback(c, rows) == pullback_by_evaluation(c, rows)
+
+    def test_catalog(self, affine_entry, q_entries, gg_entries):
+        rng = random.Random(91)
+        self.check_structure(affine_entry.structure, rng)
+        for n in (2, 3, 4):
+            self.check_structure(q_entries[n].structure, rng)
+            self.check_structure(gg_entries[n].structure, rng)
+
+    def test_seeded_linearizations(self):
+        rng = random.Random(92)
+        entries = set()
+        for _ in range(6):
+            st = linearize(*make_random_linearize_input(rng))
+            entries.update(c for col in st.sharp_columns() for c in col.values())
+            self.check_structure(st, rng)
+        # r# columns with entries other than 0 and 1, unlike rref rows
+        assert any(abs(c) != 1 for c in entries)
+
+
 class TestAnnihilator:
     def test_whole_algebra(self, gl_algebras):
         g = gl_algebras[2]
@@ -1116,14 +1159,3 @@ class TestTraceAlongRows:
         p = span_subalgebra(gl_algebras[3], [])
         assert trace_adjoint(p) == trace_by_table(p) == Cochain.zero(0, 1)
 
-
-class TestFormatting:
-    def test_format_vector(self, gl_algebras):
-        g = gl_algebras[2]
-        v = [F(0)] * 4
-        assert g.format_vector(v) == "0"
-        v[g.index("e12")] = F(1)
-        v[g.index("e21")] = Fraction(-3, 2)
-        assert g.format_vector(v) == "e12 - 3/2 e21"
-        v[g.index("e12")] = F(-1)
-        assert g.format_vector(v) == "-e12 - 3/2 e21"
