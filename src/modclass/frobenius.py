@@ -15,6 +15,7 @@ from .liealg import (
     LieAlgebra,
     Multivector,
     Subalgebra,
+    _check_parent,
     ce_differential,
     pullback,
     quotient_character,
@@ -59,14 +60,13 @@ def _gram(p: Subalgebra, mu: Cochain) -> Matrix:
 
 
 def mu_from_xi(p: Subalgebra, xi: Cochain) -> Cochain:
-    """The 2-cochain (X, Y) -> xi([X, Y]) on the subalgebra.
-
-    In this package's orientation that is the differential of xi; the test
-    suite checks it against the bracket pairing.
+    """The 2-cochain (X, Y) -> xi([X, Y]) on the subalgebra: the pullback
+    along the rows of d of the extension of xi by zero, which agrees with xi
+    on p, where [b_s, b_t] lies; no table of p is built.  The test suite
+    checks it against the differential on that table.
     """
-    if xi.degree != 1 or xi.dim != p.dim:
-        raise ValueError("expected a 1-cochain on the subalgebra")
-    return ce_differential(p.as_lie_algebra(), xi)
+    xi_g = p.extend_cochain_by_zero(xi)
+    return pullback(ce_differential(p.parent, xi_g), p.rows)
 
 
 def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
@@ -94,12 +94,13 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
 def linearize(g: LieAlgebra, p: Subalgebra, mu: Cochain) -> TwistedTriangularStructure:
     """Build a twisted triangular structure from a 2-cochain on the algebra.
 
-    r inverts the restriction of mu to the subalgebra and psi is minus the
-    differential of mu; the constructor re-verifies the Yang-Baxter
+    p must lie in g.  r inverts the restriction of mu to p and psi is minus
+    the differential of mu; the constructor re-verifies the Yang-Baxter
     equation, so a failure there is a bug, not an input error.
     """
     if mu.degree != 2 or mu.dim != g.dim:
         raise ValueError("expected a 2-cochain on the algebra")
+    _check_parent(g, p)
     mu_p = p.restrict_cochain(mu)
     r = invert_cochain(p, mu_p)
     psi = -ce_differential(g, mu)

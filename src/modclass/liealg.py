@@ -37,9 +37,9 @@ Vectors are the ``SparseVec`` dicts of ``linalg``: ``LieAlgebra.bracket``
 takes and returns them, and a ``Subalgebra`` is built from the sparse rows
 of its rref basis, from which it derives the dense ``basis``; dense tuples
 appear only at the public boundary (``basis``, ``basis_vector``,
-``from_coords``, witnesses).  A ``Subalgebra`` does not check closure
-itself: ``span_subalgebra`` does, by ``as_lie_algebra``, which brackets
-each pair of basis rows once and keeps the structure constants; the
+``from_coords``, witnesses).  No table of a subalgebra p is built: its
+sums read the by-output index of the parent along the rows of p.
+``span_subalgebra`` checks closure (``Subalgebra.check_closed``); the
 carrier of a verified structure is closed by theorem (see ``twisted``).
 ``restrict_cochain`` pulls each term back along the rows (``pullback``),
 which agrees with the determinant rule of ``Cochain.evaluate``, the test
@@ -48,12 +48,10 @@ suite's oracle.
 
 A subalgebra p acts on g/p and, by the coadjoint action, on the
 annihilator ann(p).  Only the characters (traces) of these two actions
-enter the modular class, so they are computed as traces straight from the
-bracket tables (``quotient_character``, ``coadjoint_character``) and no
-action matrix is formed; ``trace_adjoint`` reads Tr(ad|p) off the
-by-output index along the rows of p.  The two are dual, so the characters
-are opposite; the computation of the modular class uses that as a
-cross-check.
+enter the modular class, so no action matrix is formed: ``trace_adjoint``
+and ``coadjoint_character`` share one loop over the by-output index
+along the rows of p.  The two are dual, so the characters are opposite;
+the computation of the modular class uses that as a cross-check.
 """
 
 from __future__ import annotations
@@ -626,12 +624,12 @@ class Subalgebra:
     and 0 at the other pivots; the remaining coordinates, ``complement``,
     index the canonical complement, spanned by their unit vectors.
     ``basis`` holds the same basis as dense tuples.  The constructor takes
-    closure on trust: ``span_subalgebra`` checks it (``as_lie_algebra``),
+    closure on trust: ``span_subalgebra`` checks it (``check_closed``),
     and ``twisted.carrier_and_kernel`` checks it unless the structure is
     verified.
     """
 
-    __slots__ = ("parent", "basis", "rows", "pivots", "complement", "_slot", "_algebra")
+    __slots__ = ("parent", "basis", "rows", "pivots", "complement", "_slot")
 
     def __init__(self, parent: LieAlgebra, rows: Sequence[SparseVec], pivots: Sequence[int]):
         object.__setattr__(self, "parent", parent)
@@ -643,7 +641,6 @@ class Subalgebra:
             self, "complement", tuple(i for i in range(parent.dim) if i not in pivot_set)
         )
         object.__setattr__(self, "_slot", {p: s for s, p in enumerate(self.pivots)})
-        object.__setattr__(self, "_algebra", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subalgebra is immutable")
@@ -682,28 +679,22 @@ class Subalgebra:
             for s, (p, row) in enumerate(zip(self.pivots, self.rows))
         )
 
-    def as_lie_algebra(self) -> LieAlgebra:
-        """The subalgebra as an abstract Lie algebra in its own basis.
+    def check_closed(self) -> None:
+        """Raise NotClosedError unless the span is closed under the bracket.
 
-        Its table comes from the one pass that brackets each pair of basis
-        rows, checks that the bracket lies in the span and keeps its
-        coordinates; a pair whose bracket leaves the span raises
-        NotClosedError with the first such pair, densely.
+        [b_s, b_t] lies in the span exactly when every canonical annihilator
+        covector gamma vanishes on it: when the pullback of d gamma along
+        the rows has no term at (s, t).  The witness is the first such pair,
+        with its bracket, densely.
         """
-        if self._algebra is None:
-            table = {}
-            for s, t in itertools.combinations(range(self.dim), 2):
-                w = self.parent.bracket(self.rows[s], self.rows[t])
-                coords = self.coords_of(w)
-                if coords is None:
-                    w = dense(w, self.parent.dim)
-                    raise NotClosedError((self.basis[s], self.basis[t], w))
-                if coords:
-                    table[(s, t)] = coords
-            object.__setattr__(
-                self, "_algebra", LieAlgebra(self.labels(), table, check=False)
-            )
-        return self._algebra
+        g = self.parent
+        failing: set[tuple[int, ...]] = set()
+        for gamma in annihilator(g, self):
+            failing.update(pullback(ce_differential(g, gamma), self.rows).terms)
+        if failing:
+            s, t = min(failing)
+            w = dense(g.bracket(self.rows[s], self.rows[t]), g.dim)
+            raise NotClosedError((self.basis[s], self.basis[t], w))
 
     def restrict_cochain(self, c: Cochain) -> Cochain:
         """Pull a cochain on the parent back along the inclusion, the map
@@ -730,7 +721,7 @@ def span_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence[Fraction]]) -> Sub
     """Canonicalize a spanning set of dense vectors and verify bracket closure."""
     reduced, pivots, rank = rref(Matrix(vectors, g.dim))
     sub = Subalgebra(g, reduced.sparse_rows[:rank], pivots)
-    sub.as_lie_algebra()
+    sub.check_closed()
     return sub
 
 
@@ -752,63 +743,70 @@ def annihilator(g: LieAlgebra, p: Subalgebra) -> list[Cochain]:
     ]
 
 
+def _trace_pairs(g: LieAlgebra, rows: Sequence[SparseVec], pairs) -> Cochain:
+    """The 1-cochain b_s -> sum over (v, gamma) in ``pairs`` of
+    gamma([b_s, v]), for sparse rows b_s and vectors v of g and the terms
+    gamma of 1-cochains: each term (i, j, w) of D d e*_m (``by_output``)
+    adds gamma[m] w (b_s[i] v[j] - b_s[j] v[i]) / D."""
+    view = g.integer_table()
+    column = transpose(rows, g.dim)
+    out = [0] * len(rows)
+    for v, gamma in pairs:
+        for (m,), c in gamma.items():
+            for i, j, w in view.by_output[m]:
+                for a, b, f in ((i, j, w), (j, i, -w)):
+                    y = v.get(b)
+                    if y is not None:
+                        fy = c * f * y
+                        for s, x in column[a].items():
+                            out[s] += fy * x
+    return Cochain(len(rows), 1, {(s,): Fraction(v, view.scale) for s, v in enumerate(out)})
+
+
+def _check_parent(g: LieAlgebra, p: Subalgebra) -> None:
+    """Raise ValueError unless p lies in g: equal labels and table."""
+    h = p.parent
+    if h is not g and (h.labels != g.labels or h.table != g.table):
+        raise ValueError("the subalgebra does not lie in this algebra")
+
+
 def trace_adjoint(p: LieAlgebra | Subalgebra) -> Cochain:
     """The 1-cochain b_s -> Tr(ad_(b_s)|p) on the canonical basis of p; a
     ``LieAlgebra`` is p = g with unit rows, which gives x -> Tr(ad_x).
 
     b_t is 1 at its pivot p_t and 0 at the other pivots, so the diagonal
-    entry of ad_(b_s)|p at b_t is (d e*_(p_t))(b_s, b_t).  Each term
-    (i, j, w) of D d e*_(p_t) (``IntegerTable.by_output``) adds
-    w (b_s[i] b_t[j] - b_s[j] b_t[i]) / D; no table of p is built.
+    entry of ad_(b_s)|p at b_t is e*_(p_t)([b_s, b_t]): ``_trace_pairs``
+    over the pairs (b_t, e*_(p_t)); no table of p is built.
     """
     if isinstance(p, LieAlgebra):
         g, rows, pivots = p, [{i: 1} for i in range(p.dim)], range(p.dim)
     else:
         g, rows, pivots = p.parent, p.rows, p.pivots
-    view = g.integer_table()
-    column = transpose(rows, g.dim)
-    out = [0] * len(rows)
-    for row, m in zip(rows, pivots):
-        for i, j, w in view.by_output[m]:
-            for a, b, f in ((i, j, w), (j, i, -w)):
-                y = row.get(b)
-                if y is not None:
-                    for s, x in column[a].items():
-                        out[s] += f * x * y
-    return Cochain(len(rows), 1, {(s,): Fraction(v, view.scale) for s, v in enumerate(out)})
+    return _trace_pairs(g, rows, ((row, {(m,): 1}) for row, m in zip(rows, pivots)))
 
 
 def quotient_character(g: LieAlgebra, p: Subalgebra) -> Cochain:
     """Character of the action X.cl(Y) = cl([X, Y]) of p on g/p.
 
     The trace of that action is Tr_g(ad_X) - Tr_p(ad_X|p): the restriction
-    to p of the modular cocycle of g, minus ``trace_adjoint`` of p.
+    to p of the modular cocycle of g, minus ``trace_adjoint`` of p.  p must
+    lie in g.
     """
+    _check_parent(g, p)
     return p.restrict_cochain(trace_adjoint(g)) - trace_adjoint(p)
 
 
 def coadjoint_character(g: LieAlgebra, p: Subalgebra, ann: Sequence[Cochain]) -> Cochain:
     """Character of the coadjoint action (X.gamma)(Y) = -gamma([X, Y]) of p on ann(p).
 
-    ``ann`` must be the canonical annihilator basis (see ``annihilator``):
-    ann[u] is 1 at the complement coordinate q_u and 0 at the other
-    complement coordinates.  The ann[u]-coordinate of a covector in ann(p)
-    is then its value at e_(q_u), so the trace is
-    X -> -(sum over u of ann[u]([X, e_(q_u)])).
+    p must lie in g, and ``ann`` must be the canonical annihilator basis
+    (see ``annihilator``): ann[u] is 1 at the complement coordinate q_u and
+    0 at the other complement coordinates.  The ann[u]-coordinate of a
+    covector in ann(p) is then its value at e_(q_u), so the trace is
+    X -> -(sum over u of ann[u]([X, e_(q_u)])), from ``_trace_pairs``.
     """
-    covs = [{k: c for (k,), c in gamma.terms.items()} for gamma in ann]
-    complement = set(p.complement)
-    if len(covs) != len(complement) or any(
-        {k: c for k, c in cov.items() if k in complement} != {q: 1}
-        for cov, q in zip(covs, p.complement)
-    ):
+    _check_parent(g, p)
+    outside = [{k: c for (k,), c in gamma.terms.items() if k not in p._slot} for gamma in ann]
+    if outside != [{q: 1} for q in p.complement]:
         raise ValueError("expected the canonical annihilator basis of the subalgebra")
-    values = []
-    for row in p.rows:
-        value = Fraction(0)
-        for cov, q in zip(covs, p.complement):
-            for k, c in g.bracket(row, {q: Fraction(1)}).items():
-                if k in cov:
-                    value -= cov[k] * c
-        values.append(value)
-    return Cochain.from_covector(values)
+    return -_trace_pairs(g, p.rows, (({q: 1}, gamma.terms) for gamma, q in zip(ann, p.complement)))

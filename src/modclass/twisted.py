@@ -30,13 +30,13 @@ carrier p = im r# is a subalgebra: [r#a, r#b] = r#[a, b]_r.
 
 The map r# is kept once, as sparse columns (``sharp_columns``), and no
 dense matrix of it is built: the carrier is the row reduction of the
-matrix whose rows are those columns, with no closure pass when the
-structure is verified.  The modular class is the image under r#,
-restricted to p, of the character of p acting on g/p.  That character and
-the character of p acting on the kernel ann(p) are computed as traces
-(see ``liealg``) and must be opposite.  Every stage works on sparse
-vectors; dense tuples appear only in results (the representative, the
-relation residuals).
+matrix whose rows are those columns, with no closure check when the
+structure is verified and no table of the carrier on any path.  The
+modular class is the image under r#, restricted to p, of the character of
+p acting on g/p.  That character and the character of p acting on the
+kernel ann(p) are traces (see ``liealg``) and must be opposite.  Every
+stage works on sparse vectors; dense tuples appear only in results (the
+representative, the relation residuals).
 
 The modular class and the relations read the dual algebra only through
 contractions along r#, the pairing of a dual bracket with a vector
@@ -411,10 +411,10 @@ def carrier_and_kernel(
     rref of the matrix whose rows are the sparse r# columns are the
     canonical carrier basis.  On a verified structure the carrier is
     closed, since [r#a, r#b] = r#[a, b]_r once R = 0; an unverified one
-    gets the closure pass of ``Subalgebra.as_lie_algebra``, which raises
-    NotClosedError.  The kernel is ann(carrier), the kernel of r#; closure
-    and r#k = 0 make it an abelian ideal of the dual Lie algebra, and
-    ``modular_class`` checks r#k = 0.
+    gets ``Subalgebra.check_closed``, which raises NotClosedError.  The
+    kernel is ann(carrier), the kernel of r#; closure and r#k = 0 make it
+    an abelian ideal of the dual Lie algebra, and ``modular_class`` checks
+    r#k = 0.
     """
     if structure._carrier is not None:
         return structure._carrier, structure._kernel
@@ -422,7 +422,7 @@ def carrier_and_kernel(
     reduced, pivots, rank = rref(Matrix(structure.sharp_columns(), g.dim))
     carrier = Subalgebra(g, reduced.sparse_rows[:rank], pivots)
     if not structure._verified:
-        carrier.as_lie_algebra()
+        carrier.check_closed()
     kernel = annihilator(g, carrier)
     object.__setattr__(structure, "_carrier", carrier)
     object.__setattr__(structure, "_kernel", kernel)

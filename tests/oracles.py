@@ -24,11 +24,14 @@ of these runs outside the test suite.
 * ``alternating_terms``: the constructor loop of ``Multivector`` and
   ``Cochain`` that made a Fraction sum for every term, against the one
   that stores a new slot directly;
-* ``closure_table``: the structure constants of a subalgebra, bracketing
-  every pair of dense basis vectors again;
+* ``closure_table`` and ``subalgebra_algebra``: the structure constants of
+  a subalgebra, bracketing every pair of dense basis vectors, and the
+  subalgebra as a Lie algebra on that table, which the library never
+  builds (``check_closed``, ``mu_from_xi`` and the traces read the table
+  of the parent);
 * ``trace_by_table``: Tr(ad|p) read off the diagonal of the table of p
-  (``Subalgebra.as_lie_algebra``), against ``trace_adjoint``, which traces
-  along the rows of p;
+  (``subalgebra_algebra``), against ``trace_adjoint``, which traces along
+  the rows of p;
 * ``restrict_by_evaluation``, ``pullback_by_evaluation`` and
   ``gram_by_coefficient``: the restriction of a cochain and the pullback of
   a form along any rows by the determinant rule on every tuple of basis
@@ -362,11 +365,17 @@ def closure_table(p) -> dict[tuple[int, int], dict[int, Fraction]]:
     return table
 
 
+def subalgebra_algebra(p) -> LieAlgebra:
+    """The subalgebra p as a Lie algebra in its own basis, on the table of
+    ``closure_table``; closure is taken on trust."""
+    return LieAlgebra(p.labels(), closure_table(p), check=False)
+
+
 def trace_by_table(p) -> Cochain:
     """x -> Tr(ad_x) on the table of p, a ``Subalgebra`` (through
-    ``as_lie_algebra``) or a ``LieAlgebra``: the diagonal entry of ad_(e_s)
-    at e_t is the e_t-coefficient of [e_s, e_t]."""
-    algebra = p if isinstance(p, LieAlgebra) else p.as_lie_algebra()
+    ``subalgebra_algebra``) or a ``LieAlgebra``: the diagonal entry of
+    ad_(e_s) at e_t is the e_t-coefficient of [e_s, e_t]."""
+    algebra = p if isinstance(p, LieAlgebra) else subalgebra_algebra(p)
     n = algebra.dim
     return Cochain(n, 1, {
         (s,): sum((algebra.bracket_basis(s, t).get(t, 0) for t in range(n)), Fraction(0))
@@ -456,6 +465,6 @@ def linearize_from_parts(
     """
     if not ce_differential(g, psi).is_zero():
         raise ValueError("psi is not closed")
-    if p.restrict_cochain(psi) != -ce_differential(p.as_lie_algebra(), mu_p):
+    if p.restrict_cochain(psi) != -ce_differential(subalgebra_algebra(p), mu_p):
         raise ValueError("psi does not restrict to minus the differential of mu")
     return TwistedTriangularStructure(g, invert_cochain(p, mu_p), psi)

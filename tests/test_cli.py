@@ -6,7 +6,7 @@ import pytest
 
 import modclass.twisted
 from modclass.catalog import affine_example, q_example
-from modclass.liealg import Multivector, Subalgebra
+from modclass.liealg import LieAlgebra, Multivector, Subalgebra, span_subalgebra
 from modclass.twisted import TwistedTriangularStructure, carrier_and_kernel
 from modclass.cli import main
 from modclass.structfile import from_catalog_entry, parse, serialize
@@ -190,26 +190,48 @@ class TestVerify:
 
 class TestCarrierTable:
     """On a verified structure the carrier is closed by theorem, so no
-    command builds its table (``Subalgebra.as_lie_algebra``)."""
+    command checks its closure (``Subalgebra.check_closed``)."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["affine", "q3", "gg3"])
     @pytest.mark.parametrize("command", ["verify", "modular", "relations"])
     def test_builds_no_carrier_table(self, monkeypatch, command, name, fmt):
         def refuse(self):
-            raise AssertionError("the carrier table was built")
+            raise AssertionError("the carrier closure was checked")
 
         # an unverified perturbed structure, built before the patch, since
         # the catalog checks the closure of its subalgebras
         base = affine_example().structure
         r = base.r + Multivector(base.g.dim, 2, {(0, 1): Fraction(1)})
         unverified = TwistedTriangularStructure.unchecked(base.g, r, base.psi)
-        monkeypatch.setattr(Subalgebra, "as_lie_algebra", refuse)
+        monkeypatch.setattr(Subalgebra, "check_closed", refuse)
         expected = json.loads(RECORD.read_text(encoding="utf-8"))
         assert run_case(command, fmt, name) == expected[case_id(command, fmt, name)]
-        # the patch is live: the unverified structure gets the closure pass
-        with pytest.raises(AssertionError, match="carrier table"):
+        # the patch is live: the unverified structure gets the closure check
+        with pytest.raises(AssertionError, match="carrier closure"):
             carrier_and_kernel(unverified)
+
+
+class TestNoSparseBracket:
+    """No report reads a bracket of two vectors (``LieAlgebra.bracket``):
+    closure, xi([., .]) and the characters read the integer table, and the
+    bracket is formed only for the witness of a span that is not closed."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["affine", "q3", "gg3"])
+    @pytest.mark.parametrize("command", ["verify", "frobenius", "linearize"])
+    def test_reports_without_bracket(self, monkeypatch, command, name, fmt):
+        def refuse(self, x, y):
+            raise AssertionError("a bracket was formed")
+
+        monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+        expected = json.loads(RECORD.read_text(encoding="utf-8"))
+        assert run_case(command, fmt, name) == expected[case_id(command, fmt, name)]
+        # the patch is live: the witness of a span that is not closed
+        g = affine_example().g
+        units = [g.basis_vector(g.index(lab)) for lab in ("e12", "e23")]
+        with pytest.raises(AssertionError, match="bracket was formed"):
+            span_subalgebra(g, units)
 
 
 class TestLongCoefficients:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_random_linearize_input, random_cochain
-from modclass.catalog import p1_subalgebra, sl
+from modclass.catalog import gl, p1_subalgebra, sl
 from modclass.frobenius import (
     DegenerateFormError,
     NotFrobeniusError,
@@ -19,6 +19,9 @@ from modclass.liealg import (
     Cochain,
     LieAlgebra,
     Multivector,
+    annihilator,
+    ce_differential,
+    coadjoint_character,
     quotient_character,
     span_subalgebra,
     whole_algebra,
@@ -34,6 +37,7 @@ from oracles import (
     is_frobenius,
     linearize_from_parts,
     r_sharp_matrix,
+    subalgebra_algebra,
 )
 from modclass.twisted import (
     TwistedTriangularStructure,
@@ -78,7 +82,7 @@ class TestMuFromXi:
     def test_evaluates_as_bracket_pairing(self):
         g, p = borel_sl2()
         rng = random.Random(41)
-        algebra = p.as_lie_algebra()
+        algebra = subalgebra_algebra(p)
         for _ in range(10):
             xi = Cochain(p.dim, 1, {(s,): rng.randint(-3, 3) for s in range(p.dim)})
             mu = mu_from_xi(p, xi)
@@ -89,6 +93,52 @@ class TestMuFromXi:
                     tuple(F(1 if u == t else 0) for u in range(p.dim)),
                 )
                 assert mu.coefficient(s, t) == xi.evaluate(bracket)
+
+    def test_matches_table_of_subalgebra(self, affine_entry, q_entries, gg_entries):
+        # the pullback along the rows against the differential on the table
+        # of p, on the catalog subalgebras and seeded linearization carriers;
+        # test_liealg's closure property test has conjugated and rescaled spans
+        rng = random.Random(42)
+        subs = [affine_entry.subalgebra]
+        subs += [e[n].subalgebra for n in (2, 3, 4, 5) for e in (q_entries, gg_entries)]
+        subs += [carrier_and_kernel(linearize(*make_random_linearize_input(rng)))[0] for _ in range(12)]
+        for p in subs:
+            for _ in range(3):
+                xi = random_cochain(rng, p.dim, 1)
+                assert mu_from_xi(p, xi) == ce_differential(subalgebra_algebra(p), xi)
+
+    def test_rejects_wrong_degree_or_dimension(self, affine_entry):
+        p = affine_entry.subalgebra
+        for xi in (Cochain.basis(p.dim + 1, 0), Cochain(p.dim, 2)):
+            with pytest.raises(ValueError, match="expected a 1-cochain on the subalgebra"):
+                mu_from_xi(p, xi)
+
+
+class TestParentAlgebra:
+    """p must lie in g.  An algebra of the same dimension with other labels
+    or another table is refused; an equal algebra built twice passes."""
+
+    def test_mixed_algebras_rejected(self):
+        g = gl(2)
+        p = span_subalgebra(g, [g.basis_vector(g.index(lab)) for lab in ("e11", "e12")])
+        ann = annihilator(g, p)
+        xi = Cochain.basis(2, 1)
+        mu = Cochain(4, 2, {(0, 1): 1})
+        h = LieAlgebra(list("xyzw"), {(0, 1): {1: 1}})
+        for other in (h, LieAlgebra(g.labels, h.table), LieAlgebra(list("xyzw"), g.table)):
+            for call in (
+                lambda: quotient_character(other, p),
+                lambda: coadjoint_character(other, p, ann),
+                lambda: linearize(other, p, mu),
+                lambda: frobenius_modular(other, p, xi),
+            ):
+                with pytest.raises(ValueError, match="does not lie in this algebra"):
+                    call()
+        twin = gl(2)
+        assert quotient_character(twin, p) == quotient_character(g, p)
+        assert coadjoint_character(twin, p, ann) == coadjoint_character(g, p, ann)
+        assert linearize(twin, p, mu).r == linearize(g, p, mu).r
+        assert frobenius_modular(twin, p, xi) == frobenius_modular(g, p, xi)
 
 
 class TestIsFrobenius:
@@ -308,7 +358,7 @@ class TestFrobeniusModular:
         # unique solution of the nonsingular system is zero
         g = sl(2)
         p = p1_subalgebra(g, 2)
-        sub = p.as_lie_algebra()
+        sub = subalgebra_algebra(p)
         g_borel = sub
         p_whole = whole_algebra(g_borel)
         xi = Cochain.basis(2, 0)
@@ -351,7 +401,7 @@ class TestNonDegenerateCorrespondence:
         # when the carrier is everything, inverting a bivector and inverting
         # a 2-cochain are mutually inverse; the Borel of sl(2) as its own
         # algebra is the smallest non-degenerate instance
-        g = p1_subalgebra(sl(2), 2).as_lie_algebra()
+        g = subalgebra_algebra(p1_subalgebra(sl(2), 2))
         p = whole_algebra(g)
         import itertools as it
         import random as rnd

@@ -13,7 +13,7 @@ from conftest import (
     solvable4,
 )
 from modclass.catalog import affine_algebra, gl, q_subalgebra, sl
-from modclass.frobenius import DegenerateFormError, linearize
+from modclass.frobenius import DegenerateFormError, linearize, mu_from_xi
 from modclass.liealg import (
     Cochain,
     JacobiReport,
@@ -34,7 +34,7 @@ from modclass.liealg import (
     trace_adjoint,
     whole_algebra,
 )
-from modclass.linalg import Matrix, kernel_basis, solve
+from modclass.linalg import Matrix, kernel_basis, rref, solve
 from modclass.twisted import carrier_and_kernel, dual_lie_algebra
 from oracles import (
     ad_matrix,
@@ -52,6 +52,7 @@ from oracles import (
     matmul,
     pullback_by_evaluation,
     restrict_by_evaluation,
+    subalgebra_algebra,
     trace_by_table,
     zeros,
 )
@@ -518,7 +519,7 @@ class TestSubalgebra:
         g = gl_algebras[2]
         p = span_subalgebra(g, [g.basis_vector(g.index("e12"))])
         assert p.dim == 1
-        assert p.as_lie_algebra().table == {}
+        assert subalgebra_algebra(p).table == {}
 
     def test_not_closed_witness(self, gl_algebras):
         g = gl_algebras[2]
@@ -570,26 +571,55 @@ class TestSubalgebra:
     @given(data=st.data(), n=st.integers(2, 4))
     def test_closure_table_matches_pair_oracle(self, data, n):
         # random coordinate subalgebras of gl(n): spans of diagonal units
-        # and the units above the diagonal of a random block order
+        # and the units above the diagonal of a random block order, plus up
+        # to two random units, which may break closure; conjugated by
+        # I + t e_ab, which gives rref rows with entries other than 0 and 1,
+        # and for n = 3 possibly written in the rescaled basis (D = 6)
+        from test_twisted import GL3_SCALES, gl3_rescaled
+
         g = gl(n)
         blocks = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         diag = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        extra = data.draw(st.lists(st.integers(0, n * n - 1), max_size=2))
+        moves = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-2, -1, 1, 2]))
+            .filter(lambda m: m[0] != m[1]),
+            max_size=2,
+        ))
         coords = [
             g.index(f"e{i + 1}{j + 1}")
             for i in range(n)
             for j in range(n)
             if (i == j and diag[i]) or (i != j and blocks[i] < blocks[j])
         ]
-        p = span_subalgebra(g, [g.basis_vector(c) for c in coords])
-        assert p.as_lie_algebra().table == closure_table(p)
+        vectors = _conjugated_span(g, n, coords + extra, moves)
+        if n == 3 and data.draw(st.booleans()):
+            g = gl3_rescaled()
+            vectors = [tuple(x / sk for x, sk in zip(v, GL3_SCALES)) for v in vectors]
+        reduced, pivots, rank = rref(Matrix(vectors, g.dim))
+        p = Subalgebra(g, reduced.sparse_rows[:rank], pivots)
+        failing = _pairs_leaving_span(p)
+        if failing:
+            s, t = failing[0]
+            for check in (p.check_closed, lambda: span_subalgebra(g, vectors)):
+                with pytest.raises(NotClosedError) as err:
+                    check()
+                x, y = p.basis[s], p.basis[t]
+                assert err.value.witness == (x, y, dense_bracket(g, x, y))
+            return
+        p.check_closed()
+        assert span_subalgebra(g, vectors).rows == p.rows
         assert trace_adjoint(p) == trace_by_table(p)
+        xi = Cochain(p.dim, 1, {(s,): F(data.draw(st.integers(-3, 3))) for s in range(p.dim)})
+        assert mu_from_xi(p, xi) == ce_differential(subalgebra_algebra(p), xi)
 
     def test_closure_table_on_rref_rows(self, affine_entry, gg_entries):
         # the carriers as carrier_and_kernel builds them (their rref rows are
         # unit vectors; TestTraceAlongRows::test_non_unit_rows has others)
         for st_ in (affine_entry.structure, gg_entries[3].structure, gg_entries[4].structure):
             carrier, _ = carrier_and_kernel(st_)
-            assert carrier.as_lie_algebra().table == closure_table(carrier)
+            carrier.check_closed()
+            assert _pairs_leaving_span(carrier) == []
 
     def test_not_closed_first_pair_and_dense_witness(self):
         # the first failing pair in basis order, (e12, e23) with bracket
@@ -602,6 +632,20 @@ class TestSubalgebra:
         assert (x, y) == (g.basis_vector(g.index("e12")), g.basis_vector(g.index("e23")))
         assert w == dense_bracket(g, x, y) == g.basis_vector(g.index("e13"))
         assert all(isinstance(c, Fraction) for c in x + y + w)
+
+
+def _pairs_leaving_span(p):
+    """The pairs s < t, in order, whose dense bracket is not the combination
+    of the basis with the coordinates of ``closure_table``."""
+    table = closure_table(p)
+    failing = []
+    for s, t in itertools.combinations(range(p.dim), 2):
+        back = [F(0)] * p.parent.dim
+        for k, c in table.get((s, t), {}).items():
+            back = [x + c * y for x, y in zip(back, p.basis[k])]
+        if dense_bracket(p.parent, p.basis[s], p.basis[t]) != tuple(back):
+            failing.append((s, t))
+    return failing
 
 
 def _conjugated_span(g, n, coords, moves):
@@ -836,7 +880,7 @@ class Representation:
         for m in self.matrices:
             if m.rows != self.space_dim or m.cols != self.space_dim:
                 raise RepresentationError("matrices must be square of equal size")
-        algebra = acting.as_lie_algebra()
+        algebra = subalgebra_algebra(acting)
         for s, t in itertools.combinations(range(acting.dim), 2):
             expected = zeros(self.space_dim, self.space_dim)
             for k, c in algebra.bracket_basis(s, t).items():
@@ -894,7 +938,7 @@ def coadjoint_subrep(g, p, subspace) -> Representation:
 def infinitesimal_character(rep: Representation) -> Cochain:
     """Trace of the representation; traces of commutators must vanish."""
     values = [mat_trace(m) for m in rep.matrices]
-    algebra = rep.acting.as_lie_algebra()
+    algebra = subalgebra_algebra(rep.acting)
     for s, t in itertools.combinations(range(rep.acting.dim), 2):
         total = sum((c * values[k] for k, c in algebra.bracket_basis(s, t).items()), F(0))
         if total != 0:
@@ -1133,7 +1177,7 @@ class TestTraceAlongRows:
         assert not any(t.is_zero() for t in traces)
 
     def test_tables_with_scale_above_one(self, gg_entries):
-        from test_twisted import gl3_rescaled
+        from test_twisted import GL3_SCALES, gl3_rescaled
 
         g = gl3_rescaled()
         dual = dual_lie_algebra(gg_entries[3].structure)
@@ -1143,11 +1187,10 @@ class TestTraceAlongRows:
             assert trace_adjoint(whole_algebra(h)) == trace_by_table(h)
         # the rescaled algebra is gl(3) in the basis s_k e_k, so a span that
         # is closed in gl(3) is closed there once divided by the s_k
-        s = [1, 2, Fraction(1, 3), 1, 3, 1, Fraction(1, 2), 1, 1]
         base = gl(3)
         coords = [base.index(c) for c in ("e11", "e12", "e22")]
         span = _conjugated_span(base, 3, coords, [(0, 1, 2)])
-        p = span_subalgebra(g, [tuple(x / sk for x, sk in zip(v, s)) for v in span])
+        p = span_subalgebra(g, [tuple(x / sk for x, sk in zip(v, GL3_SCALES)) for v in span])
         assert trace_adjoint(p) == trace_by_table(p)
         assert not trace_adjoint(p).is_zero()
         # the kernel of gg(3) is an abelian ideal of the dual, so it traces to 0

@@ -100,12 +100,17 @@ def psi_pullback_by_wedges(g, r, psi):
     return out
 
 
+# the s_k of ``gl3_rescaled``; a vector with coordinates v_k in gl(3) has
+# coordinates v_k / s_k there
+GL3_SCALES = (1, 2, Fraction(1, 3), 1, 3, 1, Fraction(1, 2), 1, 1)
+
+
 def gl3_rescaled():
     """gl(3) in the basis s_k e_k, where [s_i e_i, s_j e_j] has the
     coefficients c^k_ij s_i s_j / s_k; the s_k in 2, 1/2, 3 and 1/3 put
     structure constants over 2 and 3 into the table, so its scale D is 6."""
     g = gl(3)
-    s = [1, 2, Fraction(1, 3), 1, 3, 1, Fraction(1, 2), 1, 1]
+    s = GL3_SCALES
     table = {
         (i, j): {k: c * s[i] * s[j] / s[k] for k, c in entry.items()}
         for (i, j), entry in g.table.items()
