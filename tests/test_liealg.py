@@ -1103,6 +1103,27 @@ class TestCharactersAgainstOracle:
             g, p, _ = make_random_linearize_input(rng)
             self.assert_matches_oracle(g, p)
 
+    def test_non_unit_rows(self):
+        # the catalog carriers have unit rows, so each canonical annihilator
+        # covector is a unit covector; conjugated coordinate spans of gl(3)
+        # give covectors with other entries at the pivots, here also in the
+        # rescaled gl(3) (D = 6)
+        from test_twisted import GL3_SCALES, gl3_rescaled
+
+        base, rescaled = gl(3), gl3_rescaled()
+        rng = random.Random(306)
+        pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+        entries_seen = set()
+        for coords in (["e11", "e12"], ["e11", "e22", "e12", "e13"], ["e11", "e12", "e22"]):
+            moves = [(a, b, rng.choice([-2, 2])) for a, b in rng.sample(pairs, 2)]
+            span = _conjugated_span(base, 3, [base.index(c) for c in coords], moves)
+            scaled = [tuple(x / sk for x, sk in zip(v, GL3_SCALES)) for v in span]
+            for g, vectors in ((base, span), (rescaled, scaled)):
+                p = span_subalgebra(g, vectors)
+                entries_seen.update(c for gamma in annihilator(g, p) for c in gamma.terms.values())
+                self.assert_matches_oracle(g, p)
+        assert entries_seen - {0, 1}
+
     def test_zero_bivector_carrier(self, gl_algebras):
         # r = 0: the carrier is the zero subalgebra and the kernel is everything
         g = gl_algebras[3]
