@@ -27,8 +27,10 @@ every m, one pair of table terms at a time, not triple by triple: triples
 that no nonzero product reaches are never visited, and since
 J(D c) = D^2 J(c) the integer sums vanish exactly where the rational ones
 do.  ``ce_differential`` reads the same index, with one accumulator of
-numerators per denominator, and builds its result with ``from_groups``,
-as the Yang-Baxter residual of ``twisted`` does.
+numerators per denominator, summed by ``from_groups``, as the Yang-Baxter
+residual and the dual brackets of ``twisted`` are.  No second view of the
+table is kept: ``LieAlgebra.bracket``, which builds only the witness of a
+span that is not closed, looks up one table entry per pair of entries.
 
 A ``Multivector`` or ``Cochain`` keeps a term's Fraction as given when its
 sorted index slot is new, and adds or subtracts only when a slot repeats.
@@ -130,7 +132,7 @@ class IntegerTable:
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("dim", "labels", "table", "_index", "_adj", "_ints")
+    __slots__ = ("dim", "labels", "table", "_index", "_ints")
 
     def __init__(
         self,
@@ -157,7 +159,6 @@ class LieAlgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", clean)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
-        object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_ints", None)
         if check:
             report = self.check_jacobi()
@@ -190,17 +191,6 @@ class LieAlgebra:
             return self.table.get((j, i)), -1
         return None, 0
 
-    def adjacency(self) -> list[tuple[tuple[int, SparseVec, int], ...]]:
-        """For each basis index i, the nonzero brackets [e_i, e_j] as
-        (j, table entry, sign); built once and cached."""
-        if self._adj is None:
-            adj: list[list[tuple[int, SparseVec, int]]] = [[] for _ in range(self.dim)]
-            for (i, j), entry in self.table.items():
-                adj[i].append((j, entry, 1))
-                adj[j].append((i, entry, -1))
-            object.__setattr__(self, "_adj", [tuple(a) for a in adj])
-        return self._adj
-
     def integer_table(self) -> IntegerTable:
         """The table scaled to integers (see ``IntegerTable``); built once and
         cached.  Every integer pass over the table reads it."""
@@ -209,17 +199,19 @@ class LieAlgebra:
         return self._ints
 
     def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        """[x, y] of two sparse vectors; the result stores no zeros."""
-        adj = self.adjacency()
+        """[x, y] of two sparse vectors, one table entry per pair of their
+        entries; the result stores no zeros.  An index outside the basis
+        raises IndexError."""
+        if any(not 0 <= k < self.dim for k in itertools.chain(x, y)):
+            raise IndexError("vector index outside the basis")
         out: SparseVec = {}
         for i, xc in x.items():
-            for j, entry, sign in adj[i]:
-                yc = y.get(j)
-                if yc is None:
-                    continue
-                f = xc * yc if sign > 0 else -xc * yc
-                for k, c in entry.items():
-                    out[k] = out.get(k, 0) + f * c
+            for j, yc in y.items():
+                entry, sign = self.pair_entry(i, j)
+                if entry:
+                    f = xc * yc if sign > 0 else -xc * yc
+                    for k, c in entry.items():
+                        out[k] = out.get(k, 0) + f * c
         return {k: c for k, c in out.items() if c}
 
     def jacobiator(self, i: int, j: int, k: int) -> Vector:
@@ -557,9 +549,9 @@ def pullback(c: _Alternating, rows: Sequence[SparseVec]):
 Groups = dict[int, dict[tuple[int, ...], int]]
 
 
-def from_groups(cls: type, dim: int, degree: int, groups: Groups):
-    """The ``cls`` (Multivector or Cochain) whose coefficient at each key
-    is the sum over q of its numerator in ``groups[q]``, divided by q.
+def from_groups(groups: Groups) -> dict[tuple[int, ...], Fraction]:
+    """The nonzero sums, at each key, over q of its numerator in
+    ``groups[q]``, divided by q.
 
     A key's parts over different denominators are summed pairwise, so
     that no partial sum carries the denominators of all the others.
@@ -574,8 +566,9 @@ def from_groups(cls: type, dim: int, degree: int, groups: Groups):
         while len(fs) > 1:
             pairs = [a + b for a, b in zip(fs[::2], fs[1::2])]
             fs = pairs + fs[-1:] if len(fs) % 2 else pairs
-        out[key] = fs[0]
-    return cls(dim, degree, out)
+        if fs[0]:
+            out[key] = fs[0]
+    return out
 
 
 def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
@@ -610,7 +603,7 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
                     continue
                 key = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
                 acc[key] = acc.get(key, 0) + (-f * w if (a + b) % 2 else f * w)
-    return from_groups(Cochain, g.dim, c.degree + 1, groups)
+    return Cochain(g.dim, c.degree + 1, from_groups(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -38,16 +38,17 @@ kernel ann(p) are traces (see ``liealg``) and must be opposite.  Every
 stage works on sparse vectors; dense tuples appear only in results (the
 representative, the relation residuals).
 
-The modular class and the relations read the dual algebra only through
-contractions along r#, the pairing of a dual bracket with a vector
-(``_dual_pairing``) and Mod(dual) (``_dual_modular``), each one
-``liealg.pullback`` along the r# columns; only ``dual_lie_algebra`` builds
-the dual table.
+The dual bracket is read in one routine, ``_dual_brackets``, which pairs it
+with given vectors on ints over the by-output index along the rows of r#:
+at the unit vectors it is the dual table (``_dual_table``, read only by
+``dual_lie_algebra``), at the representative the cocycle check of
+``modular_class``.  Mod(dual) is a pullback along r# (``_dual_modular``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,7 +164,7 @@ def _wedge_sum(dim: int, terms) -> Multivector:
                     if acc is None:
                         acc = groups[q * dd] = {}
                     acc[key] = acc.get(key, 0) + v
-    return from_groups(Multivector, dim, 3, groups)
+    return Multivector(dim, 3, from_groups(groups))
 
 
 def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain | None = None) -> None:
@@ -303,56 +304,73 @@ class TwistedTriangularStructure:
         return {k: c for k, c in out.items() if c}
 
 
-# (u, v, w, sign): the orderings of a psi index triple, with their signs
-_PSI_SLOTS = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 2, -1), (0, 2, 1, -1), (2, 1, 0, -1))
+def _first_slot(psi: Cochain):
+    """(i, (j, k), psi(e_i, e_j, e_k)) with j < k, for each term of psi and
+    each of its three indices i."""
+    for (p, q, s), c in psi.terms.items():
+        yield p, (q, s), c
+        yield q, (p, s), -c
+        yield s, (p, q), c
+
+
+def _dual_terms(structure: TwistedTriangularStructure, at: list[SparseVec]):
+    """The pairings <[e_a*, e_b*]_r, vectors[o]> as terms (o, n, d, us, xs),
+    each (n / d) u ^ x at index o, for u and x with the sparse entries us
+    and xs, (index, numerator, denominator) triples.
+
+    With x_a = r#e_a*, the pairing with v is -e_b*([x_a, v]) +
+    e_a*([x_b, v]) + psi(v, x_a, x_b), read along the rows of r#
+    (``_sharp_rows``: row i maps a to x_a[i]), and ``at[t]`` maps o to
+    vectors[o][t]:
+
+    * a term (i, j, w) of D d e*_m (``by_output``) gives D [x_a, v] the
+      e_m-coefficient w (x_a[i] v[j] - x_a[j] v[i]);
+    * psi(e_t, e_j, e_k) = c (``_first_slot``) gives c v_t (x_a[j] x_b[k]
+      - x_a[k] x_b[j]).
+    """
+    view = structure.g.integer_table()
+    rows = _sharp_rows(structure.r)
+    for m, terms in enumerate(view.by_output):
+        e_m = ((m, 1, 1),)
+        for i, j, w in terms:
+            for s, t, f in ((i, j, -w), (j, i, w)):
+                for o, y in at[t].items():
+                    yield o, f * y.numerator, view.scale * y.denominator, rows[s], e_m
+    for t, (j, k), c in _first_slot(structure.psi):
+        for o, y in at[t].items():
+            yield o, c.numerator * y.numerator, c.denominator * y.denominator, rows[j], rows[k]
+
+
+def _dual_brackets(
+    structure: TwistedTriangularStructure, vectors: Sequence[SparseVec]
+) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero pairings <[e_a*, e_b*]_r, vectors[o]>, at keys (a, b, o)
+    with a < b, summed on ints over ``_dual_terms``: a product adds its
+    numerator to the accumulator of its denominator (``from_groups``)."""
+    groups: Groups = {}
+    for o, cn, cd, us, xs in _dual_terms(structure, transpose(vectors, structure.g.dim)):
+        for a, an, ad in us:
+            for b, bn, bd in xs:
+                if a < b:
+                    key, v = (a, b, o), cn * an * bn
+                elif b < a:
+                    key, v = (b, a, o), -cn * an * bn
+                else:
+                    continue
+                acc = groups.get(cd * ad * bd)
+                if acc is None:
+                    acc = groups[cd * ad * bd] = {}
+                acc[key] = acc.get(key, 0) + v
+    return from_groups(groups)
 
 
 def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """Dual structure constants [e_a*, e_b*] for a < b, built sparsely.
-
-    The bracket ad*_x b - ad*_y a + psi(x, y, .) of the dual basis
-    covectors a = e_a*, b = e_b*, summed straight from their images
-    x = r#e_a*, y = r#e_b*, the bracket table and the terms of psi:
-
-    * the coadjoint part is ad*_x e_b* - ad*_y e_a*, and
-      <ad*_x e_b*, e_j> = -(e_b-coefficient of [x, e_j]);
-    * psi(x, y, e_w) sums sign * c * x_u * y_v over the six orderings
-      (u, v, w) of each term c e_p* ^ e_q* ^ e_s* of psi.
-    """
-    g = structure.g
-    cols = structure.sharp_columns()
-    adj = g.adjacency()
-    acc: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    def add(a: int, b: int, j: int, value: Fraction) -> None:
-        entry = acc.setdefault((a, b), {})
-        entry[j] = entry.get(j, 0) + value
-
-    for a, col in enumerate(cols):
-        for i, xi in col.items():
-            for j, entry, sign in adj[i]:
-                for k, c in entry.items():
-                    # sign * xi * c is the e_k-coefficient of [x, e_j]
-                    if a < k:
-                        add(a, k, j, -sign * xi * c)
-                    elif k < a:
-                        add(k, a, j, sign * xi * c)
-
-    # rows[m] maps a to the m-th coordinate of r#e_a*
-    rows = transpose(cols, g.dim)
-    for idx, c in structure.psi.terms.items():
-        for u, v, w, sign in _PSI_SLOTS:
-            signed = sign * c
-            for a, xa in rows[idx[u]].items():
-                for b, yb in rows[idx[v]].items():
-                    if a < b:
-                        add(a, b, idx[w], signed * xa * yb)
-
-    table = {}
-    for key in sorted(acc):
-        entry = {j: v for j, v in sorted(acc[key].items()) if v != 0}
-        if entry:
-            table[key] = entry
+    """Dual structure constants [e_a*, e_b*] for a < b: ``_dual_brackets``
+    at the unit vectors, grouped by (a, b)."""
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    units = [{o: 1} for o in range(structure.g.dim)]
+    for (a, b, o), c in sorted(_dual_brackets(structure, units).items()):
+        table.setdefault((a, b), {})[o] = c
     return table
 
 
@@ -364,28 +382,6 @@ def dual_lie_algebra(structure: TwistedTriangularStructure, *, check: bool = Fal
     JacobiViolationError."""
     labels = tuple(f"{lab}*" for lab in structure.g.labels)
     return LieAlgebra(labels, _dual_table(structure), check=check)
-
-
-def _first_slot(psi: Cochain):
-    """(i, (j, k), psi(e_i, e_j, e_k)) with j < k, for each term of psi and
-    each of its three indices i."""
-    for (p, q, s), c in psi.terms.items():
-        yield p, (q, s), c
-        yield q, (p, s), -c
-        yield s, (p, q), c
-
-
-def _dual_pairing(structure: TwistedTriangularStructure, theta: SparseVec) -> Cochain:
-    """The 2-cochain (a, b) -> <[e_a*, e_b*]_r, theta> on the dual basis.
-
-    With x_a = r#e_a*, the pairing is -e_b*([x_a, theta]) +
-    e_a*([x_b, theta]) + psi(x_a, x_b, theta): one bracket with theta for
-    each a, and the pullback along r# of the 2-form psi(theta, ., .).
-    """
-    g, cols = structure.g, structure.sharp_columns()
-    brackets = (((a, b), -c) for a, x in enumerate(cols) for b, c in g.bracket(x, theta).items())
-    contracted = ((jk, c * theta[i]) for i, jk, c in _first_slot(structure.psi) if i in theta)
-    return Cochain(g.dim, 2, brackets) + pullback(Cochain(g.dim, 2, contracted), cols)
 
 
 def _dual_modular(structure: TwistedTriangularStructure) -> Cochain:
@@ -507,7 +503,7 @@ def modular_class(structure: TwistedTriangularStructure) -> ModularClassReport:
     )
 
     checks["cocycle_on_dual"] = CrossCheck(
-        _dual_pairing(structure, sparse_rep).is_zero(),
+        not _dual_brackets(structure, [sparse_rep]),
         "representative annihilates the derived algebra of the dual",
     )
 

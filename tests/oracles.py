@@ -5,17 +5,20 @@ library now computes sparsely or on integers.  Tests compare the two; none
 of these runs outside the test suite.
 
 * ``dense_bracket`` and ``ad_matrix``: the bracket of two dense vectors and
-  the matrix of ad_x, against the sparse ``LieAlgebra.bracket``;
+  the matrix of ad_x, read entry by entry off the table
+  (``bracket_basis``), against the sparse ``LieAlgebra.bracket``;
 * ``matmul``, ``mat_add``, ``mat_sub``, ``mat_neg``, ``zeros`` and
   ``identity``: ``Matrix`` arithmetic, for the matrix-basis and
   representation oracles;
 * ``dense_sharp_apply`` and ``dual_bracket``: r# of a covector and the
-  dual bracket of two 1-cochains, against the sparse dual table;
+  dual bracket of two 1-cochains, read entry by entry off the table,
+  against ``twisted._dual_brackets`` (the dual table and the pairing with
+  a covector);
 * ``sharp_homomorphism_residuals``: r# applied to every dual table entry
   against the bracket of two r# columns, a verdict that ``verify`` and
   ``modular_class`` read off the zero Yang-Baxter residual;
 * ``cocycle_by_table``: a covector paired with every dual table entry,
-  against the closed form along r# of ``modular_class``;
+  against the ``cocycle_on_dual`` verdict of ``modular_class``;
 * ``is_frobenius``: degeneracy of xi([., .]) by its own elimination, against
   ``frobenius_modular``;
 * ``ce_differential_fraction``, ``cybe_lhs_trivector_fraction`` and
@@ -106,20 +109,19 @@ def mat_is_zero(m: Matrix) -> bool:
 
 
 def dense_bracket(g: LieAlgebra, x, y) -> Vector:
+    """[x, y] of two dense vectors, one ``bracket_basis`` per pair of their
+    nonzero entries."""
     if len(x) != g.dim or len(y) != g.dim:
         raise ValueError("vector dimension mismatch")
-    adj = g.adjacency()
     out = [Fraction(0)] * g.dim
     for i, xc in enumerate(x):
         if xc == 0:
             continue
-        for j, entry, sign in adj[i]:
-            yc = y[j]
+        for j, yc in enumerate(y):
             if yc == 0:
                 continue
-            f = xc * yc if sign > 0 else -xc * yc
-            for k, c in entry.items():
-                out[k] += f * c
+            for k, c in g.bracket_basis(i, j).items():
+                out[k] += xc * yc * c
     return tuple(out)
 
 
@@ -176,28 +178,24 @@ def dual_bracket(structure, alpha: Cochain, beta: Cochain) -> Cochain:
         raise ValueError("dual_bracket expects 1-cochains on the algebra")
     x = dense_sharp_apply(structure, alpha)
     y = dense_sharp_apply(structure, beta)
-    a = alpha.to_vector()
-    b = beta.to_vector()
-    adj = g.adjacency()
+    a = {k: c for (k,), c in alpha.terms.items()}
+    b = {k: c for (k,), c in beta.terms.items()}
     out = [Fraction(0)] * g.dim
-    # <ad*_X b, e_j> = -<b, [X, e_j]>, accumulated over the sparse table
-    for i, xc in enumerate(x):
-        if xc == 0:
+    # <ad*_X b, e_j> = -<b, [X, e_j]>, one ``bracket_basis`` per pair (i, j)
+    for i in range(g.dim):
+        if x[i] == 0 and y[i] == 0:
             continue
-        for j, entry, sign in adj[i]:
-            val = sum((c * b[k] for k, c in entry.items()), Fraction(0))
-            if val != 0:
-                out[j] -= xc * val if sign > 0 else -xc * val
-    for i, yc in enumerate(y):
-        if yc == 0:
-            continue
-        for j, entry, sign in adj[i]:
-            val = sum((c * a[k] for k, c in entry.items()), Fraction(0))
-            if val != 0:
-                out[j] += yc * val if sign > 0 else -yc * val
+        for j in range(g.dim):
+            entry = g.bracket_basis(i, j)
+            vb = sum(c * b[k] for k, c in entry.items() if k in b)
+            va = sum(c * a[k] for k, c in entry.items() if k in a)
+            if vb or va:
+                out[j] += y[i] * va - x[i] * vb
     for (p, q, s), c in structure.psi.terms.items():
         xp, xq, xs = x[p], x[q], x[s]
         yp, yq, ys = y[p], y[q], y[s]
+        if not ((xp or xq or xs) and (yp or yq or ys)):
+            continue
         out[s] += c * (xp * yq - xq * yp)
         out[q] -= c * (xp * ys - xs * yp)
         out[p] += c * (xq * ys - xs * yq)
@@ -224,8 +222,8 @@ def sharp_homomorphism_residuals(structure: TwistedTriangularStructure) -> Multi
 
 def cocycle_by_table(structure: TwistedTriangularStructure, theta: Mapping[int, Fraction]) -> bool:
     """Whether theta pairs to zero with every entry of the dual table, the
-    ``cocycle_on_dual`` verdict that ``modular_class`` reads off the
-    closed form along r#."""
+    ``cocycle_on_dual`` verdict that ``modular_class`` reads off
+    ``_dual_brackets`` at theta alone."""
     return all(
         sum((c * theta[k] for k, c in entry.items() if k in theta), Fraction(0)) == 0
         for entry in twisted._dual_table(structure).values()

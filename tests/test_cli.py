@@ -176,16 +176,32 @@ class TestVerify:
         # verify takes the homomorphism and dual Jacobi verdicts from the
         # zero Yang-Baxter residual, and modular and relations read the dual
         # through closed forms along r#; every route to the dual table goes
-        # through _dual_table, so a command that built it would raise here
+        # through _dual_table, so a command that built it would raise here;
+        # the table is _dual_brackets at every unit vector, and the
+        # cocycle_on_dual check of modular pairs with the representative alone
+        twisted = modclass.twisted
+        dual_table, dual_brackets = twisted._dual_table, twisted._dual_brackets
+
         def refuse(structure):
             raise AssertionError("the dual table was built")
 
-        monkeypatch.setattr(modclass.twisted, "_dual_table", refuse)
+        def one_vector(structure, vectors):
+            if len(vectors) > 1:
+                raise AssertionError("dual brackets paired with more than one vector")
+            return dual_brackets(structure, vectors)
+
+        monkeypatch.setattr(twisted, "_dual_table", refuse)
+        monkeypatch.setattr(twisted, "_dual_brackets", one_vector)
         expected = json.loads(RECORD.read_text(encoding="utf-8"))
         assert run_case(command, fmt, name) == expected[case_id(command, fmt, name)]
-        # the patch is live: dual_lie_algebra reads the table
+        # both patches are live: dual_lie_algebra reads the table, and the
+        # table reads _dual_brackets at every unit vector at once
+        structure = affine_example().structure
         with pytest.raises(AssertionError, match="dual table"):
-            modclass.twisted.dual_lie_algebra(affine_example().structure)
+            twisted.dual_lie_algebra(structure)
+        monkeypatch.setattr(twisted, "_dual_table", dual_table)
+        with pytest.raises(AssertionError, match="more than one vector"):
+            twisted.dual_lie_algebra(structure)
 
 
 class TestCarrierTable:

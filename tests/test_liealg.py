@@ -84,14 +84,20 @@ class TestBracket:
         g = heisenberg()
         assert g.bracket({1: F(1)}, {0: F(1)}) == {2: -1}
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, gl_algebras):
         # the dense oracle checks lengths; the sparse bracket has no length,
-        # and an index past the basis has no adjacency
+        # so it checks every index of both arguments against the basis
         g = heisenberg()
         with pytest.raises(ValueError):
             dense_bracket(g, (F(1),), (F(0), F(0), F(0)))
         with pytest.raises(IndexError):
             g.bracket({3: F(1)}, {0: F(1)})
+        # a negative index in x would alias from the end, giving [e22, e12],
+        # and an index past the basis in y would be dropped
+        with pytest.raises(IndexError):
+            gl_algebras[2].bracket({-1: F(1)}, {1: F(1)})
+        with pytest.raises(IndexError):
+            gl_algebras[2].bracket({0: F(1)}, {7: F(1)})
 
     @settings(deadline=None, max_examples=150)
     @given(data=st.data(), which=st.sampled_from(["gl3", "solvable4", "affine"]))

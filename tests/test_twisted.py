@@ -27,8 +27,8 @@ from modclass.twisted import (
     StructureInvariantError,
     TwistedTriangularStructure,
     _cybe_residual,
+    _dual_brackets,
     _dual_modular,
-    _dual_pairing,
     _dual_table,
     carrier_and_kernel,
     cybe_lhs_trivector,
@@ -418,7 +418,7 @@ class TestDualBracket:
 
     def test_matches_display_formula(self, affine_entry, q_entries):
         rng = random.Random(32)
-        for st in (affine_entry.structure, q_entries[2].structure):
+        for st in [affine_entry.structure, q_entries[2].structure] + rescaled_structures(33, 2):
             n = st.g.dim
             for _ in range(8):
                 alpha = random_cochain(rng, n, 1)
@@ -451,6 +451,28 @@ def perturbed_structures(bases, seed, count):
         if not verify_twisted_cybe(g, r, psi).passed:
             out.append(TwistedTriangularStructure.unchecked(g, r, psi))
     return out
+
+
+def rescaled_structures(seed, count):
+    """Unchecked structures on ``gl3_rescaled`` (D = 6) with random r and
+    psi over small denominators, so that the dual bracket carries the
+    denominators of the table, of r and of psi."""
+    g = gl3_rescaled()
+    rng = random.Random(seed)
+
+    def coefficients(degree, density):
+        return {
+            idx: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for idx in itertools.combinations(range(g.dim), degree)
+            if rng.random() < density
+        }
+
+    return [
+        TwistedTriangularStructure.unchecked(
+            g, Multivector(g.dim, 2, coefficients(2, 0.3)), Cochain(g.dim, 3, coefficients(3, 0.2))
+        )
+        for _ in range(count)
+    ]
 
 
 def kernel_check_oracle(st):
@@ -510,6 +532,14 @@ class TestSparseDualTable:
         for st in perturbed_structures(bases, seed=78, count=12):
             self.assert_table_matches(st)
 
+    def test_rescaled_table(self):
+        # the only tables with D > 1 here: a dual table that dropped D, or
+        # the denominators of r or psi, would differ from the oracle
+        structures = rescaled_structures(88, 10)
+        assert {st.g.integer_table().scale for st in structures} == {6}
+        for st in structures:
+            self.assert_table_matches(st)
+
     def test_kernel_checks_match_pairwise_route(self, affine_entry, q_entries, gg_entries):
         # with r#k = 0 the bracket [k, b] is -ad*_(r#b) k, so a closed
         # carrier makes the kernel an abelian ideal whatever the residual:
@@ -560,11 +590,24 @@ class TestSparseDualTable:
         assert not dual_lie_algebra(st).check_jacobi().ok
 
 
+def oracle_pairing(table, theta):
+    """(a, b) -> <[e_a*, e_b*]_r, theta> over a dense dual table, nonzero
+    values only."""
+    out = {}
+    for key, w in table.items():
+        c = sum((w[k] * x for k, x in theta.items()), F(0))
+        if c:
+            out[key] = c
+    return out
+
+
 class TestDualClosedForms:
-    """The closed forms along r# that ``modular_class`` and ``relation_check``
-    read, against the dual table and the trace of the dual algebra.  Both
-    are identities of the definition of the dual bracket, so they hold on
-    structures with a nonzero Yang-Baxter residual too."""
+    """The pairings of the dual bracket (``_dual_brackets``) that
+    ``modular_class`` reads, and the closed form along r# that
+    ``relation_check`` reads, against the dense ``dual_bracket`` oracle and
+    the trace of the dual algebra.  Both are identities of the definition of
+    the dual bracket, so they hold on structures with a nonzero Yang-Baxter
+    residual too."""
 
     @pytest.fixture(scope="class")
     def structures(self, affine_entry, q_entries, gg_entries):
@@ -578,26 +621,60 @@ class TestDualClosedForms:
             q_entries[3].structure,
             gg_entries[3].structure,
         ]
-        return out + perturbed_structures(bases, seed=78, count=12)
+        out += perturbed_structures(bases, seed=78, count=12)
+        return out + rescaled_structures(89, 10)
 
-    def test_pairing_with_basis_vectors_is_the_table(self, structures):
+    @pytest.fixture(scope="class")
+    def oracle_tables(self, structures):
+        # for each structure, (a, b) -> the dense [e_a*, e_b*]_r, a < b
+        tables = []
         for st in structures:
             n = st.g.dim
+            basis = [Cochain.basis(n, a) for a in range(n)]
+            tables.append(
+                {
+                    (a, b): dual_bracket(st, basis[a], basis[b]).to_vector()
+                    for a, b in itertools.combinations(range(n), 2)
+                }
+            )
+        return tables
+
+    def test_pairing_with_basis_vectors_is_the_table(self, structures, oracle_tables):
+        # one call pairs with every vector, at its own index o; a vector
+        # alone gives the same values, unit vectors give table columns, and
+        # the seeded theta with fractions agree with the dense oracle
+        rng = random.Random(709)
+        for st, oracle in zip(structures, oracle_tables):
+            n = st.g.dim
             table = _dual_table(st)
-            for j in range(n):
+            units = rng.sample(range(n), min(n, 3))
+            thetas = [{j: F(1)} for j in units]
+            for _ in range(3):
+                theta = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(n)}
+                thetas.append({k: c for k, c in theta.items() if c})
+            pairings = _dual_brackets(st, thetas)
+            for o, theta in enumerate(thetas):
+                alone = _dual_brackets(st, [theta])
+                assert {(a, b, o): c for (a, b, _), c in alone.items()} == {
+                    key: c for key, c in pairings.items() if key[2] == o
+                }
+                assert {(a, b): c for (a, b, _), c in alone.items()} == oracle_pairing(
+                    oracle, theta
+                )
+            for o, j in enumerate(units):
                 column_j = {key: entry[j] for key, entry in table.items() if j in entry}
-                assert _dual_pairing(st, {j: F(1)}) == Cochain(n, 2, column_j)
+                assert {(a, b): c for (a, b, p), c in pairings.items() if p == o} == column_j
 
     def test_modular_is_the_trace_of_the_dual(self, structures):
         for st in structures:
             assert _dual_modular(st) == trace_adjoint(dual_lie_algebra(st))
 
-    def test_cocycle_verdict_matches_table(self, structures):
+    def test_cocycle_verdict_matches_table(self, structures, oracle_tables):
         # theta from the null space of the table's entries pairs to zero
         # with every bracket; adding a random covector mostly breaks that
         rng = random.Random(708)
         verdicts = set()
-        for st in structures:
+        for st, oracle in zip(structures, oracle_tables):
             n = st.g.dim
             entries = list(_dual_table(st).values())
             cocycles = kernel_basis(Matrix(entries, n))
@@ -609,8 +686,9 @@ class TestDualClosedForms:
                 if rng.randrange(2):
                     theta[rng.randrange(n)] += F(rng.randint(1, 4))
                 theta = {k: c for k, c in enumerate(theta) if c}
-                verdict = _dual_pairing(st, theta).is_zero()
+                verdict = not _dual_brackets(st, [theta])
                 assert verdict == cocycle_by_table(st, theta)
+                assert verdict == (not oracle_pairing(oracle, theta))
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
