@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .catalog import entry_names, get_entry
@@ -380,7 +380,10 @@ def _dispatch(command, args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="modclass",
         description="Verify twisted triangular r-matrix structures and compute modular classes.",
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

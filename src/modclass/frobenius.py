@@ -19,7 +19,6 @@ from .liealg import (
     ce_differential,
     pullback,
     quotient_character,
-    transpose,
 )
 from .linalg import Matrix, NoSolutionError, SingularMatrixError, Vector, invert, solve
 from .twisted import TwistedTriangularStructure
@@ -86,9 +85,17 @@ def invert_cochain(p: Subalgebra, mu: Cochain) -> Multivector:
         witness = p.from_coords(exc.kernel[0])
         raise DegenerateFormError("2-cochain is degenerate on the subalgebra", witness)
     # r = sum over s < t of -coeff[s, t] b_s ^ b_t, pushed forward along
-    # the inclusion, whose columns are the rows b_s of p
-    upper = {(s, t): -x for s, row in enumerate(coeff.sparse_rows) for t, x in row.items() if s < t}
-    return pullback(Multivector(p.dim, 2, upper), transpose(p.rows, p.parent.dim))
+    # the inclusion: b_s ^ b_t has the term b_s[i] b_t[j] at e_i ^ e_j
+    acc: dict[tuple[int, int], Fraction] = {}
+    for s, row in enumerate(coeff.sparse_rows):
+        for t, x in row.items():
+            if s < t:
+                for i, a in p.rows[s].items():
+                    for j, b in p.rows[t].items():
+                        if i != j:
+                            key, v = ((i, j), -x * a * b) if i < j else ((j, i), x * a * b)
+                            acc[key] = acc.get(key, 0) + v
+    return Multivector(p.parent.dim, 2, acc)
 
 
 def linearize(g: LieAlgebra, p: Subalgebra, mu: Cochain) -> TwistedTriangularStructure:

@@ -553,21 +553,27 @@ def from_groups(groups: Groups) -> dict[tuple[int, ...], Fraction]:
     """The nonzero sums, at each key, over q of its numerator in
     ``groups[q]``, divided by q.
 
-    A key's parts over different denominators are summed pairwise, so
-    that no partial sum carries the denominators of all the others.
+    A key with a part in one group only is that part; the parts of any
+    other key are summed pairwise, so that no partial sum carries the
+    denominators of all the others.
     """
+    out: dict[tuple[int, ...], Fraction] = {}
     parts: dict[tuple[int, ...], list[Fraction]] = {}
     for q, acc in groups.items():
         for key, v in acc.items():
             if v:
-                parts.setdefault(key, []).append(Fraction(v, q))
-    out: dict[tuple[int, ...], Fraction] = {}
+                f = Fraction(v, q)
+                first = out.setdefault(key, f)
+                if first is not f:
+                    parts.setdefault(key, [first]).append(f)
     for key, fs in parts.items():
         while len(fs) > 1:
             pairs = [a + b for a, b in zip(fs[::2], fs[1::2])]
             fs = pairs + fs[-1:] if len(fs) % 2 else pairs
         if fs[0]:
             out[key] = fs[0]
+        else:
+            del out[key]
     return out
 
 

@@ -30,12 +30,15 @@ The bracket table lists each basis pair at most once, in basis order
 (earlier label first); antisymmetry is synthesized.  Index tuples in term
 blocks must be strictly increasing in basis order.  The Jacobi identity is
 checked as soon as the algebra block is complete; a violating table is a
-parse error.
+parse error.  Jacobi is checked once per distinct block per process: a
+file that repeats one of the last ``_ALGEBRA_SLOTS`` blocks that passed gets
+that block's algebra back without re-reading the table.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +47,13 @@ from .linalg import SparseVec, Vector, _RAT_RE, dense
 
 _SECTIONS = ("algebra", "r", "psi", "subalgebra", "mu", "xi")
 _TERM_DEGREE = {"r": 2, "psi": 3, "mu": 2, "xi": 1}
+
+# Algebra blocks that passed the Jacobi check in this process, least
+# recently used first, keyed by their labels, their bracket-line tokens and
+# the literal digit limit, which decides whether a long coefficient parses.
+# A failing block is never stored, so it fails on every parse.
+_ALGEBRA_SLOTS = 8
+_algebras: OrderedDict[tuple, LieAlgebra] = OrderedDict()
 
 
 class StructureFileError(ValueError):
@@ -132,6 +142,36 @@ def _parse_combination(tokens: list[str], labels: dict[str, int], line: int) -> 
     return {k: c for k, c in out.items() if c}
 
 
+def _parse_algebra(
+    labels: dict[str, int], bracket_lines: list[tuple[int, str, str, list[str]]]
+) -> LieAlgebra:
+    """The algebra of the bracket lines, checked for the Jacobi identity."""
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for lineno, la, lb, rhs_tokens in bracket_lines:
+        for lab in (la, lb):
+            if lab not in labels:
+                raise _fail(f"unknown basis label {lab!r}", lineno)
+        i, j = labels[la], labels[lb]
+        if i >= j:
+            raise _fail(
+                "bracket pairs must be listed with the earlier basis label first",
+                lineno,
+            )
+        if (i, j) in brackets:
+            raise _fail(f"duplicate bracket for ({la}, {lb})", lineno)
+        entry = _parse_combination(rhs_tokens, labels, lineno)
+        if entry:
+            brackets[(i, j)] = entry
+
+    try:
+        return LieAlgebra(list(labels), brackets, check=True)
+    except JacobiViolationError as exc:
+        names = tuple(list(labels)[t] for t in exc.triple)
+        raise StructureFileError(
+            f"bracket table violates the Jacobi identity at basis triple {names}"
+        ) from exc
+
+
 def parse(text: str) -> StructureData:
     """Parse structure-file text; raises StructureFileError on any problem."""
     name: str | None = None
@@ -139,7 +179,6 @@ def parse(text: str) -> StructureData:
     seen: set[str] = set()
     labels: dict[str, int] = {}
     declared_dim: int | None = None
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     bracket_lines: list[tuple[int, str, str, list[str]]] = []
     term_blocks: dict[str, dict[tuple[int, ...], Fraction]] = {}
     term_lines: dict[str, list[tuple[int, list[str], str]]] = {}
@@ -228,29 +267,19 @@ def parse(text: str) -> StructureData:
             f"declared dim {declared_dim} does not match {len(labels)} labels"
         )
 
-    for lineno, la, lb, rhs_tokens in bracket_lines:
-        for lab in (la, lb):
-            if lab not in labels:
-                raise _fail(f"unknown basis label {lab!r}", lineno)
-        i, j = labels[la], labels[lb]
-        if i >= j:
-            raise _fail(
-                "bracket pairs must be listed with the earlier basis label first",
-                lineno,
-            )
-        if (i, j) in brackets:
-            raise _fail(f"duplicate bracket for ({la}, {lb})", lineno)
-        entry = _parse_combination(rhs_tokens, labels, lineno)
-        if entry:
-            brackets[(i, j)] = entry
-
-    try:
-        algebra = LieAlgebra(list(labels), brackets, check=True)
-    except JacobiViolationError as exc:
-        names = tuple(list(labels)[t] for t in exc.triple)
-        raise StructureFileError(
-            f"bracket table violates the Jacobi identity at basis triple {names}"
-        ) from exc
+    key = (
+        tuple(labels),
+        tuple((la, lb, *rhs) for _, la, lb, rhs in bracket_lines),
+        sys.get_int_max_str_digits(),
+    )
+    algebra = _algebras.get(key)
+    if algebra is None:
+        algebra = _parse_algebra(labels, bracket_lines)
+        _algebras[key] = algebra
+        if len(_algebras) > _ALGEBRA_SLOTS:
+            _algebras.popitem(last=False)
+    else:
+        _algebras.move_to_end(key)
 
     for sec, lines in term_lines.items():
         degree = _TERM_DEGREE[sec]

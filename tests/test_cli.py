@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -8,7 +10,7 @@ import modclass.twisted
 from modclass.catalog import affine_example, q_example
 from modclass.liealg import LieAlgebra, Multivector, Subalgebra, span_subalgebra
 from modclass.twisted import TwistedTriangularStructure, carrier_and_kernel
-from modclass.cli import main
+from modclass.cli import _parser, main
 from modclass.structfile import from_catalog_entry, parse, serialize
 from test_golden import RECORD, case_id, run_case
 
@@ -513,3 +515,45 @@ class TestReportHygiene:
                 assert not isinstance(x, float), x
 
         walk(payload)
+
+
+def _help_text(parse, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+        parse(argv)
+    assert info.value.code == 0
+    return out.getvalue()
+
+
+class TestOneParser:
+    """``main`` parses every call with one parser built per process."""
+
+    CASES = [(c, f, n) for c in ("verify", "modular", "linearize") for f in ("text", "json")
+             for n in ("q3", "gg3")]
+
+    def test_repeated_calls_give_identical_output(self):
+        first = [run_case(*case) for case in self.CASES]
+        for _ in range(2):
+            assert [run_case(*case) for case in self.CASES] == first
+        record = json.loads(RECORD.read_text(encoding="utf-8"))
+        assert first == [record[case_id(*case)] for case in self.CASES]
+
+    def test_usage_error_then_valid_call(self, affine_file, capsys):
+        expected = run_case("modular", "json", "q3")
+        with pytest.raises(SystemExit) as info:
+            main(["modular", "--nosuchflag", str(affine_file)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --nosuchflag" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["nosuchcommand"])
+        assert run_case("modular", "json", "q3") == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["catalog", "--help"]])
+    def test_help_matches_a_fresh_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")
+        fresh = _help_text(_parser.__wrapped__().parse_args, argv)
+        assert fresh.startswith("usage: modclass")
+        assert _help_text(main, argv) == fresh
+        run_case("verify", "text", "q3")
+        assert _help_text(main, argv) == fresh
+        assert _parser() is _parser()

@@ -1,7 +1,10 @@
+import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
+from modclass import structfile
 from modclass.catalog import affine_example, gg_example, q_example
 from modclass.liealg import LieAlgebra
 from modclass.structfile import (
@@ -153,3 +156,90 @@ class TestRoundTrip:
             assert back.r == r and back.mu == mu and back.xi == xi
             assert back.subalgebra_vectors == vectors
             assert back.name == data.name
+
+
+HALFPLANE_BLOCK = "[algebra]\nlabels = x y\nbracket x y = y\n"
+
+
+class TestAlgebraReuse:
+    """One process keeps the last ``_ALGEBRA_SLOTS`` algebra blocks that
+    passed the Jacobi check, and a repeated block reuses its algebra."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slots(self, monkeypatch):
+        monkeypatch.setattr(structfile, "_algebras", OrderedDict())
+
+    def test_same_block_gives_same_algebra(self):
+        text = serialize(from_catalog_entry(gg_example(3)))
+        first = parse(text)
+        other = StructureData(algebra=first.algebra, name="other", r=2 * first.r)
+        second = parse("# a comment\n\n" + serialize(other))
+        assert second.algebra is first.algebra
+        assert second.r == 2 * first.r
+
+    def test_jacobi_violation_fails_every_parse(self):
+        text = "[algebra]\nlabels = x y z\nbracket x y = y\nbracket x z = z\nbracket y z = x\n"
+        messages = []
+        for _ in range(3):
+            with pytest.raises(StructureFileError, match="Jacobi") as info:
+                parse(text)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+        assert not structfile._algebras
+
+    def test_term_errors_keep_their_line_numbers(self):
+        parse(HALFPLANE_BLOCK + "[r]\nterm x y = 1\n")
+        shifted = "# one\n\n# three\n" + HALFPLANE_BLOCK + "[r]\nterm x y = 0.5\n"
+        with pytest.raises(StructureFileError, match="^line 8: expected an exact rational"):
+            parse(shifted)
+        with pytest.raises(StructureFileError, match="^line 6: unknown basis label 'z'"):
+            parse(HALFPLANE_BLOCK + "[r]\nterm x y = 1\nterm x z = 1\n")
+        assert len(structfile._algebras) == 1
+
+    @pytest.mark.parametrize(
+        "block, other",
+        [
+            (HALFPLANE_BLOCK, "[algebra]\nlabels = a b\nbracket a b = b\n"),
+            (HALFPLANE_BLOCK, "[algebra]\nlabels = x y\nbracket x y = 2 y\n"),
+            (HALFPLANE_BLOCK, "[algebra]\nlabels = x y\nbracket x y = -1 y\n"),
+            (HALFPLANE_BLOCK, "[algebra]\nlabels = x y\n"),
+            ("[algebra]\nlabels = x y\n", "[algebra]\nlabels = a b\n"),
+            (
+                "[algebra]\nlabels = x y z\nbracket x y = y\n",
+                "[algebra]\nlabels = x y w\nbracket x y = y\n",
+            ),
+        ],
+    )
+    def test_different_blocks_are_not_confused(self, block, other):
+        first = parse(block).algebra
+        second = parse(other).algebra
+        assert second is not first
+        assert (second.labels, second.table) != (first.labels, first.table)
+        assert parse(block).algebra is first
+        assert parse(other).algebra is second
+
+    def test_slots_are_bounded_and_least_recent_goes_first(self):
+        blocks = [
+            f"[algebra]\nlabels = x y\nbracket x y = {k} y\n"
+            for k in range(1, 2 * structfile._ALGEBRA_SLOTS + 2)
+        ]
+        kept = parse(blocks[0]).algebra
+        dropped = parse(blocks[1]).algebra
+        for text in blocks[2:]:
+            assert parse(blocks[0]).algebra is kept
+            parse(text)
+            assert len(structfile._algebras) <= structfile._ALGEBRA_SLOTS
+        assert len(structfile._algebras) == structfile._ALGEBRA_SLOTS
+        assert parse(blocks[0]).algebra is kept
+        assert parse(blocks[1]).algebra is not dropped
+
+    def test_digit_limit_still_applies_to_a_stored_block(self):
+        limit = sys.get_int_max_str_digits()
+        text = f"[algebra]\nlabels = x y\nbracket x y = {'7' * (limit + 1)} y\n"
+        sys.set_int_max_str_digits(limit + 10)
+        try:
+            assert parse(text).algebra.table[(0, 1)][1] == int("7" * (limit + 1))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        with pytest.raises(StructureFileError, match="^line 3: rational literal too long"):
+            parse(text)
