@@ -31,8 +31,14 @@ The bracket table lists each basis pair at most once, in basis order
 blocks must be strictly increasing in basis order.  The Jacobi identity is
 checked as soon as the algebra block is complete; a violating table is a
 parse error.  Jacobi is checked once per distinct block per process: a
-file that repeats one of the last ``_ALGEBRA_SLOTS`` blocks that passed gets
-that block's algebra back without re-reading the table.
+file whose ``[algebra]`` block has the same lines as one of the last
+``_ALGEBRA_SLOTS`` blocks that passed, once comments, blank lines and the
+spaces at each line's ends are dropped, gets that block's algebra back
+without reading the lines again.  Spacing inside a line counts, so a block
+spaced differently is read afresh and gives an equal algebra.
+``serialize`` likewise writes the block of one algebra object once and
+reuses the text while the object stays among the last ``_ALGEBRA_SLOTS``
+it wrote.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .liealg import Cochain, JacobiViolationError, LieAlgebra, Multivector
 from .linalg import SparseVec, Vector, _RAT_RE, dense
@@ -49,11 +56,17 @@ _SECTIONS = ("algebra", "r", "psi", "subalgebra", "mu", "xi")
 _TERM_DEGREE = {"r": 2, "psi": 3, "mu": 2, "xi": 1}
 
 # Algebra blocks that passed the Jacobi check in this process, least
-# recently used first, keyed by their labels, their bracket-line tokens and
-# the literal digit limit, which decides whether a long coefficient parses.
-# A failing block is never stored, so it fails on every parse.
+# recently used first, keyed by the block's comment-stripped, stripped,
+# non-empty lines and the literal digit limit, which decides whether a long
+# coefficient parses.  A failing block is never stored, so it fails on
+# every parse.
 _ALGEBRA_SLOTS = 8
-_algebras: OrderedDict[tuple, LieAlgebra] = OrderedDict()
+_algebras: OrderedDict[tuple[tuple[str, ...], int], LieAlgebra] = OrderedDict()
+# The [algebra] block text of the last serialized algebras, least recently
+# used first, keyed by id(); each entry holds its object, so the id is not
+# reused while the entry lives.  Kept apart from _algebras: a serialized
+# algebra may be unchecked.
+_algebra_texts: OrderedDict[int, tuple[LieAlgebra, str]] = OrderedDict()
 
 
 class StructureFileError(ValueError):
@@ -183,9 +196,12 @@ def parse(text: str) -> StructureData:
     term_blocks: dict[str, dict[tuple[int, ...], Fraction]] = {}
     term_lines: dict[str, list[tuple[int, list[str], str]]] = {}
     vector_lines: list[tuple[int, list[str]]] = []
+    algebra: LieAlgebra | None = None
+    block_key: tuple[tuple[str, ...], int] | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    stripped = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    numbered = enumerate(stripped, start=1)
+    for lineno, line in numbered:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -201,6 +217,23 @@ def parse(text: str) -> StructureData:
             if sec in _TERM_DEGREE:
                 term_blocks[sec] = {}
                 term_lines[sec] = []
+            elif sec == "algebra":
+                # the block runs to the next section header or the end
+                end = lineno
+                while end < len(stripped) and not (
+                    stripped[end].startswith("[") and stripped[end].endswith("]")
+                ):
+                    end += 1
+                block_key = (
+                    tuple(b for b in stripped[lineno:end] if b),
+                    sys.get_int_max_str_digits(),
+                )
+                algebra = _algebras.get(block_key)
+                if algebra is not None:
+                    # these very lines passed every check once: skip them
+                    _algebras.move_to_end(block_key)
+                    labels = algebra._index
+                    next(islice(numbered, end - lineno, end - lineno), None)
             continue
         if "=" not in line:
             raise _fail("expected 'key ... = value'", lineno)
@@ -260,29 +293,20 @@ def parse(text: str) -> StructureData:
 
     if "algebra" not in seen:
         raise StructureFileError("missing [algebra] section")
-    if not labels:
-        raise StructureFileError("missing labels line in [algebra]")
-    if declared_dim is not None and declared_dim != len(labels):
-        raise StructureFileError(
-            f"declared dim {declared_dim} does not match {len(labels)} labels"
-        )
-
-    key = (
-        tuple(labels),
-        tuple((la, lb, *rhs) for _, la, lb, rhs in bracket_lines),
-        sys.get_int_max_str_digits(),
-    )
-    algebra = _algebras.get(key)
     if algebra is None:
+        if not labels:
+            raise StructureFileError("missing labels line in [algebra]")
+        if declared_dim is not None and declared_dim != len(labels):
+            raise StructureFileError(
+                f"declared dim {declared_dim} does not match {len(labels)} labels"
+            )
         algebra = _parse_algebra(labels, bracket_lines)
-        _algebras[key] = algebra
+        _algebras[block_key] = algebra
         if len(_algebras) > _ALGEBRA_SLOTS:
             _algebras.popitem(last=False)
-    else:
-        _algebras.move_to_end(key)
 
+    literals: dict[str, Fraction] = {}
     for sec, lines in term_lines.items():
-        degree = _TERM_DEGREE[sec]
         for lineno, args, value in lines:
             idx = []
             for lab in args:
@@ -294,7 +318,9 @@ def parse(text: str) -> StructureData:
                 raise _fail("term indices must be strictly increasing in basis order", lineno)
             if idx in term_blocks[sec]:
                 raise _fail("duplicate term", lineno)
-            coeff = _parse_rational(value, lineno)
+            coeff = literals.get(value)
+            if coeff is None:
+                coeff = literals[value] = _parse_rational(value, lineno)
             if coeff != 0:
                 term_blocks[sec][idx] = coeff
 
@@ -371,17 +397,30 @@ def combination_str(v: Vector | SparseVec, labels: tuple[str, ...]) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def _algebra_block(g: LieAlgebra) -> str:
+    """The ``[algebra]`` block of g, built once while g stays among the last
+    ``_ALGEBRA_SLOTS`` algebras written."""
+    hit = _algebra_texts.get(id(g))
+    if hit is not None:
+        _algebra_texts.move_to_end(id(g))
+        return hit[1]
+    lines = ["[algebra]", f"dim = {g.dim}", f"labels = {' '.join(g.labels)}"]
+    for (i, j), entry in sorted(g.table.items()):
+        lines.append(f"bracket {g.labels[i]} {g.labels[j]} = {combination_str(entry, g.labels)}")
+    block = "\n".join(lines)
+    _algebra_texts[id(g)] = (g, block)
+    if len(_algebra_texts) > _ALGEBRA_SLOTS:
+        _algebra_texts.popitem(last=False)
+    return block
+
+
 def serialize(data: StructureData) -> str:
     """Deterministic text form: fixed section order, terms in index order."""
     g = data.algebra
     lines: list[str] = []
     if data.name:
         lines.append(f"name = {data.name}")
-    lines.append("[algebra]")
-    lines.append(f"dim = {g.dim}")
-    lines.append(f"labels = {' '.join(g.labels)}")
-    for (i, j), entry in sorted(g.table.items()):
-        lines.append(f"bracket {g.labels[i]} {g.labels[j]} = {combination_str(entry, g.labels)}")
+    lines.append(_algebra_block(g))
     for sec, obj in (("r", data.r), ("psi", data.psi)):
         if obj is not None:
             lines.append(f"[{sec}]")

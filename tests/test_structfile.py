@@ -1,12 +1,17 @@
+import random
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import make_random_linearize_input
+from hypothesis import given, settings, strategies as st
 
 from modclass import structfile
 from modclass.catalog import affine_example, gg_example, q_example
-from modclass.liealg import LieAlgebra
+from modclass.frobenius import linearize
+from modclass.liealg import Cochain, LieAlgebra
 from modclass.structfile import (
     StructureData,
     StructureFileError,
@@ -243,3 +248,167 @@ class TestAlgebraReuse:
             sys.set_int_max_str_digits(limit)
         with pytest.raises(StructureFileError, match="^line 3: rational literal too long"):
             parse(text)
+
+    def test_block_is_keyed_by_its_stripped_lines(self):
+        first = parse("name = one\n" + HALFPLANE_BLOCK + "[r]\nterm x y = 1\n").algebra
+        same = (
+            "# a header comment\nname = two\n\n[algebra]\n"
+            "  # inside the block\n\n   labels = x y   # trailing\n\t bracket x y = y \n\n"
+            "[mu]\nterm x y = 3\n"
+        )
+        assert parse(same).algebra is first
+        assert len(structfile._algebras) == 1
+
+    @pytest.mark.parametrize(
+        "spaced",
+        [
+            "[algebra]\nlabels = x  y\nbracket x y = y\n",
+            "[algebra]\nlabels = x y\nbracket x y  =  y\n",
+            "[algebra]\nlabels=x y\nbracket x y = y\n",
+            "[algebra]\nlabels = x y\nbracket x\ty = y\n",
+        ],
+    )
+    def test_inner_spacing_is_a_miss_with_an_equal_algebra(self, spaced):
+        first = parse(HALFPLANE_BLOCK).algebra
+        second = parse(spaced).algebra
+        assert second is not first
+        assert (second.labels, second.table) == (first.labels, first.table)
+        assert len(structfile._algebras) == 2
+
+    def test_block_may_run_to_the_end_of_the_file(self):
+        first = parse(HALFPLANE_BLOCK + "[r]\nterm x y = 1\n").algebra
+        data = parse("name = tail\n" + HALFPLANE_BLOCK.rstrip("\n"))
+        assert data.algebra is first
+        assert data.name == "tail" and data.r is None
+
+    def test_second_algebra_header_after_a_stored_block(self):
+        parse(HALFPLANE_BLOCK)
+        text = "# one\n" + HALFPLANE_BLOCK + "[ algebra ]\nlabels = x y\n"
+        with pytest.raises(StructureFileError, match="^line 5: duplicate section \\[algebra\\]"):
+            parse(text)
+        with pytest.raises(StructureFileError, match="^line 6: duplicate section \\[algebra\\]"):
+            parse(HALFPLANE_BLOCK + "[r]\nterm x y = 1\n[algebra]\n")
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "bracket x z = y",
+            "bracket y x = y",
+            "bracket x y = x",
+            "bracket x y = 0.5 y",
+            "bracket x y = 1/0 y",
+            "dim = 3",
+            "dim = two",
+            "labels = x",
+            "term x y = 1",
+            "bracket x y",
+        ],
+    )
+    def test_bad_line_in_a_stored_block_fails_as_a_cold_parse(self, bad_line):
+        good = "name = g\n" + HALFPLANE_BLOCK + "[r]\nterm x y = 1\n"
+        bad = good.replace("bracket x y = y\n", f"bracket x y = y\n{bad_line}\n")
+        with pytest.raises(StructureFileError) as cold:
+            parse(bad)
+        assert not structfile._algebras
+        parse(good)
+        with pytest.raises(StructureFileError) as warm:
+            parse(bad)
+        assert (str(warm.value), warm.value.line) == (str(cold.value), cold.value.line)
+        assert len(structfile._algebras) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestSerializeReuse:
+    """``serialize`` writes the block of one algebra object once, and keeps
+    it apart from the blocks ``parse`` checked."""
+
+    @pytest.fixture(autouse=True)
+    def empty_caches(self, monkeypatch):
+        monkeypatch.setattr(structfile, "_algebras", OrderedDict())
+        monkeypatch.setattr(structfile, "_algebra_texts", OrderedDict())
+
+    def test_unchecked_algebra_never_reaches_the_parse_cache(self):
+        broken = LieAlgebra(
+            ["x", "y", "z"], {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}}, check=False
+        )
+        texts = [serialize(StructureData(algebra=broken)) for _ in range(2)]
+        assert texts[0] == texts[1]
+        assert structfile._algebra_texts[id(broken)][0] is broken
+        for text in texts:
+            with pytest.raises(StructureFileError, match="violates the Jacobi identity"):
+                parse(text)
+        assert not structfile._algebras
+
+    def test_warm_serialize_equals_cold(self, affine_entry, q_entries, gg_entries):
+        entries = [affine_entry, *q_entries.values(), *gg_entries.values()]
+        cold = []
+        for entry in entries:
+            structfile._algebra_texts.clear()
+            cold.append(serialize(from_catalog_entry(entry)))
+        for _ in range(2):
+            for entry, text in zip(entries, cold):
+                assert serialize(from_catalog_entry(entry)) == text
+        assert len(structfile._algebra_texts) == structfile._ALGEBRA_SLOTS
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.lie")), ids=lambda p: p.name)
+    def test_golden_files_round_trip_cold_and_warm(self, path):
+        text = path.read_text(encoding="utf-8")
+        data = parse(text)
+        assert serialize(data) == text
+        assert serialize(data) == text
+        assert serialize(parse(text)) == text
+
+    def test_short_lived_algebras_get_their_own_text(self):
+        for k in range(1, 3 * structfile._ALGEBRA_SLOTS):
+            text = serialize(StructureData(algebra=LieAlgebra(["x", "y"], {(0, 1): {1: k}})))
+            assert text.endswith(f"bracket x y = {'y' if k == 1 else f'{k} y'}\n")
+            assert len(structfile._algebra_texts) <= structfile._ALGEBRA_SLOTS
+
+
+# a few values, so that literals repeat within a file, zero among them
+_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-7, 3)]
+_CATALOG = [affine_example(), q_example(2), q_example(3), gg_example(2), gg_example(3)]
+
+
+@st.composite
+def structures(draw):
+    """Catalog entries and seeded linearizations, with a drawn [xi] block."""
+    source = draw(st.sampled_from(["linearize", *range(len(_CATALOG))]))
+    if source == "linearize":
+        g, p, mu = make_random_linearize_input(random.Random(draw(st.integers(0, 2**16))))
+        lin = linearize(g, p, mu)
+        data = StructureData(
+            algebra=g, name="lin", r=lin.r, psi=lin.psi, subalgebra_vectors=p.basis, mu=mu
+        )
+    else:
+        data = from_catalog_entry(_CATALOG[source])
+    n = data.algebra.dim
+    values = draw(st.lists(st.sampled_from(_POOL), min_size=n, max_size=n))
+    xi = Cochain(n, 1, {(i,): c for i, c in enumerate(values)})
+    return StructureData(
+        algebra=data.algebra,
+        name=data.name,
+        r=data.r,
+        psi=data.psi,
+        subalgebra_vectors=data.subalgebra_vectors,
+        mu=data.mu,
+        xi=xi,
+    ), values
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(), st.booleans())
+def test_serialize_parse_serialize_is_byte_identical(case, cold):
+    data, values = case
+    if cold:
+        structfile._algebras.clear()
+        structfile._algebra_texts.clear()
+    text = serialize(data)
+    assert serialize(parse(text)) == text
+    # [xi] is written last, so these zero terms land in it
+    labels = data.algebra.labels
+    zeros = "".join(f"term {labels[i]} = 0\n" for i, c in enumerate(values) if c == 0)
+    assert serialize(parse(text + zeros)) == text
+    assert serialize(data) == text
