@@ -257,7 +257,7 @@ def q_example(n: int) -> CatalogEntry:
         raise ValueError("q_example(n) needs n >= 2")
     g = gl(n)
     mu = q_mu(g, n)
-    psi = -ce_differential(g, mu)
+    psi = ce_differential(g, -mu)
     r = q_printed_r(g, n)
     p = q_subalgebra(g, n)
     expected = [Fraction(0)] * g.dim

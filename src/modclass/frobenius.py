@@ -110,7 +110,7 @@ def linearize(g: LieAlgebra, p: Subalgebra, mu: Cochain) -> TwistedTriangularStr
     _check_parent(g, p)
     mu_p = p.restrict_cochain(mu)
     r = invert_cochain(p, mu_p)
-    psi = -ce_differential(g, mu)
+    psi = ce_differential(g, -mu)
     return TwistedTriangularStructure(g, r, psi)
 
 

@@ -28,9 +28,12 @@ that no nonzero product reaches are never visited, and since
 J(D c) = D^2 J(c) the integer sums vanish exactly where the rational ones
 do.  ``ce_differential`` reads the same index, with one accumulator of
 numerators per denominator, summed by ``from_groups``, as the Yang-Baxter
-residual and the dual brackets of ``twisted`` are.  No second view of the
-table is kept: ``LieAlgebra.bracket``, which builds only the witness of a
-span that is not closed, looks up one table entry per pair of entries.
+residual and the dual brackets of ``twisted`` are.  Its index sets are bit
+masks, not tuples, over the mask index, a part of ``IntegerTable`` built
+lazily from the by-output index the first time a nonzero cochain asks for
+it and read only by ``ce_differential``; only the nonzero sums are turned
+back into tuples.  ``LieAlgebra.bracket``, which builds only the witness of
+a span that is not closed, looks up one table entry per pair of entries.
 
 A ``Multivector`` or ``Cochain`` keeps a term's Fraction as given when its
 sorted index slot is new, and adds or subtracts only when a slot repeats.
@@ -60,7 +63,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,10 +116,14 @@ class IntegerTable:
 
     ``LieAlgebra.integer_table`` builds it once per algebra.
     ``by_output[m]`` lists (i, j, w) with w the e_m-coefficient of
-    D [e_i, e_j], i < j, so D d e*_m = sum of w e*_i ^ e*_j.
+    D [e_i, e_j], i < j, so D d e*_m = sum of w e*_i ^ e*_j.  One more
+    part, the mask index, is built from it on first use and read only by
+    ``ce_differential``: ``masks[m]`` lists, for each (i, j, w) of
+    ``by_output[m]``, (bit_i | bit_j, the bits strictly between i and j,
+    w, -w), with bit_k = 1 << k.
     """
 
-    __slots__ = ("scale", "by_output")
+    __slots__ = ("scale", "by_output", "_masks")
 
     def __init__(self, dim: int, table: dict[tuple[int, int], SparseVec]):
         scale = math.lcm(*(c.denominator for entry in table.values() for c in entry.values()))
@@ -127,6 +133,16 @@ class IntegerTable:
                 out[m].append((i, j, c.numerator * (scale // c.denominator)))
         self.scale = scale
         self.by_output = out
+        self._masks: list[list[tuple[int, int, int, int]]] | None = None
+
+    @property
+    def masks(self) -> list[list[tuple[int, int, int, int]]]:
+        if self._masks is None:
+            self._masks = [
+                [((1 << i) | (1 << j), (1 << j) - (2 << i), w, -w) for i, j, w in terms]
+                for terms in self.by_output
+            ]
+        return self._masks
 
 
 class LieAlgebra:
@@ -545,11 +561,13 @@ def pullback(c: _Alternating, rows: Sequence[SparseVec]):
     return type(c)(len(rows), c.degree, acc)
 
 
-# numerators of an alternating form, one accumulator per denominator q
-Groups = dict[int, dict[tuple[int, ...], int]]
+# numerators of an alternating form, one accumulator per denominator q,
+# keyed by index tuple (by bit mask in ``ce_differential``)
+Key = tuple[int, ...] | int
+Groups = dict[int, dict[Key, int]]
 
 
-def from_groups(groups: Groups) -> dict[tuple[int, ...], Fraction]:
+def from_groups(groups: Groups) -> dict[Key, Fraction]:
     """The nonzero sums, at each key, over q of its numerator in
     ``groups[q]``, divided by q.
 
@@ -557,8 +575,8 @@ def from_groups(groups: Groups) -> dict[tuple[int, ...], Fraction]:
     other key are summed pairwise, so that no partial sum carries the
     denominators of all the others.
     """
-    out: dict[tuple[int, ...], Fraction] = {}
-    parts: dict[tuple[int, ...], list[Fraction]] = {}
+    out: dict[Key, Fraction] = {}
+    parts: dict[Key, list[Fraction]] = {}
     for q, acc in groups.items():
         for key, v in acc.items():
             if v:
@@ -589,27 +607,43 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
         raise ValueError("cochain dimension does not match the algebra")
     if c.degree == 0:
         return Cochain.zero(g.dim, 1)
+    if not c.terms:
+        return Cochain.zero(g.dim, c.degree + 1)
     # the sums run on ints, over the table scaled by T (``integer_table``),
     # with one accumulator of numerators for each denominator q of c's
-    # terms, keyed by q T; a cochain of distinct long q costs a Fraction sum
+    # terms, keyed by q T; a cochain of distinct long q costs a Fraction sum.
+    # An increasing index tuple is keyed by its bit mask: putting i < j into
+    # rest passes one transposition per bit of rest below i and one per bit
+    # below j, and since i is not in rest, that count has the parity of the
+    # bits of rest strictly between i and j
     view = g.integer_table()
-    tscale, d1 = view.scale, view.by_output
+    tscale, masks = view.scale, view.masks
     groups: Groups = {}
     for idx, coeff in c.terms.items():
         acc = groups.setdefault(coeff.denominator * tscale, {})
+        full = 0
+        for m in idx:
+            full |= 1 << m
+        num = coeff.numerator
         for t, m in enumerate(idx):
-            rest = idx[:t] + idx[t + 1 :]
-            f = -coeff.numerator if t % 2 else coeff.numerator
-            for i, j, w in d1[m]:
-                # merge i < j into the sorted rest; each of them passes the
-                # entries of rest below it, one transposition each
-                a = bisect_left(rest, i)
-                b = bisect_left(rest, j)
-                if (a < len(rest) and rest[a] == i) or (b < len(rest) and rest[b] == j):
+            rest = full ^ (1 << m)
+            f = -num if t % 2 else num
+            for bij, between, w, nw in masks[m]:
+                if rest & bij:
                     continue
-                key = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
-                acc[key] = acc.get(key, 0) + (-f * w if (a + b) % 2 else f * w)
-    return Cochain(g.dim, c.degree + 1, from_groups(groups))
+                key = rest | bij
+                acc[key] = acc.get(key, 0) + (nw if (rest & between).bit_count() & 1 else w) * f
+    return Cochain(g.dim, c.degree + 1, [(_bits(key), v) for key, v in from_groups(groups).items()])
+
+
+def _bits(key: int) -> tuple[int, ...]:
+    """The set bits of a mask as an increasing index tuple."""
+    out = []
+    while key:
+        low = key & -key
+        out.append(low.bit_length() - 1)
+        key ^= low
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

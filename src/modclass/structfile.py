@@ -4,7 +4,8 @@ A structure file is a line-based, human-writable description of a Lie
 algebra together with optional bivector, twist, subalgebra, 2-cochain and
 1-cochain blocks.  All coefficients are exact rationals written as
 integers or p/q; floating-point literals are rejected.  Unknown sections
-and keys are rejected.
+and keys are rejected, and so is a second ``dim`` or ``labels`` line in
+``[algebra]``.
 
 Example::
 
@@ -252,11 +253,15 @@ def parse(text: str) -> StructureData:
 
         if section == "algebra":
             if key == "dim" and not args:
+                if declared_dim is not None:
+                    raise _fail("duplicate dim line in [algebra]", lineno)
                 try:
                     declared_dim = int(value)
                 except ValueError:
                     raise _fail("dim must be an integer", lineno)
             elif key == "labels" and not args:
+                if labels:
+                    raise _fail("duplicate labels line in [algebra]", lineno)
                 toks = value.split()
                 if not toks:
                     raise _fail("labels line is empty", lineno)

@@ -2,13 +2,22 @@ import contextlib
 import io
 import json
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
 import modclass.twisted
 from modclass.catalog import affine_example, q_example
-from modclass.liealg import LieAlgebra, Multivector, Subalgebra, span_subalgebra
+from modclass import structfile
+from modclass.liealg import (
+    Cochain,
+    LieAlgebra,
+    Multivector,
+    Subalgebra,
+    ce_differential,
+    span_subalgebra,
+)
 from modclass.twisted import TwistedTriangularStructure, carrier_and_kernel
 from modclass.cli import _parser, main
 from modclass.structfile import from_catalog_entry, parse, serialize
@@ -99,6 +108,20 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         out = capsys.readouterr().out
         assert "Jacobi" in out and "('x', 'y', 'z')" in out
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("labels = x y\nlabels = z\n", "line 3: duplicate labels line in [algebra]"),
+            ("dim = 2\nlabels = x y\ndim = 2\n", "line 4: duplicate dim line in [algebra]"),
+        ],
+        ids=["labels", "dim"],
+    )
+    def test_second_labels_or_dim_line_exits_2(self, tmp_path, capsys, block, message):
+        path = tmp_path / "twice.lie"
+        path.write_text(f"[algebra]\n{block}bracket x y = y\n[r]\nterm x y = 1\n", encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().out
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.lie")]) == 2
@@ -250,6 +273,21 @@ class TestNoSparseBracket:
         units = [g.basis_vector(g.index(lab)) for lab in ("e12", "e23")]
         with pytest.raises(AssertionError, match="bracket was formed"):
             span_subalgebra(g, units)
+
+
+class TestMaskIndex:
+    """``ce_differential`` builds the mask index of an algebra only for a
+    nonzero cochain, so verifying a zero psi leaves it unbuilt."""
+
+    def test_zero_psi_builds_no_mask_index(self, monkeypatch):
+        monkeypatch.setattr(structfile, "_algebras", OrderedDict())
+        expected = json.loads(RECORD.read_text(encoding="utf-8"))
+        assert run_case("verify", "text", "gg3") == expected[case_id("verify", "text", "gg3")]
+        (g,) = structfile._algebras.values()
+        assert g.integer_table()._masks is None
+        # the check is live: a nonzero cochain builds it
+        ce_differential(g, Cochain.basis(g.dim, 0))
+        assert g.integer_table()._masks is not None
 
 
 class TestLongCoefficients:

@@ -315,6 +315,15 @@ class TestLinearize:
             carrier, _ = carrier_and_kernel(st)
             assert carrier.basis == p.basis
 
+    def test_psi_is_minus_d_mu(self, affine_entry, q_entries):
+        # linearize takes psi = d(-mu); the oracle negates d mu
+        cases = [(affine_entry.g, affine_entry.subalgebra, affine_entry.mu)]
+        cases += [(e.g, e.subalgebra, e.mu) for e in q_entries.values()]
+        rng = random.Random(58)
+        cases += [make_random_linearize_input(rng) for _ in range(20)]
+        for g, p, mu in cases:
+            assert linearize(g, p, mu).psi == -ce_differential(g, mu)
+
     def test_from_parts_entry_point(self, affine_entry):
         g = affine_entry.g
         p = affine_entry.subalgebra

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -447,6 +448,40 @@ def random_rational_cochain(rng, dim, degree, density=0.5):
     return Cochain(dim, degree, terms)
 
 
+@functools.cache
+def differential_algebra(name):
+    from test_twisted import gl3_rescaled
+
+    return {
+        "heisenberg": heisenberg,
+        "solvable4": solvable4,
+        "gl3": lambda: gl(3),
+        "gl3_rescaled": gl3_rescaled,
+        "gl9": lambda: gl(9),
+    }[name]()
+
+
+@st.composite
+def differential_cases(draw):
+    """A drawn algebra and a cochain of degree 0..4 on it, its index tuples
+    in any order, over short and 30-digit denominators; some terms come
+    with a reversed copy that cancels them in the constructor."""
+    g = differential_algebra(
+        draw(st.sampled_from(["heisenberg", "solvable4", "gl3", "gl3_rescaled", "gl9"]))
+    )
+    degree = draw(st.integers(0, min(4, g.dim)))
+    index = st.lists(st.integers(0, g.dim - 1), min_size=degree, max_size=degree, unique=True)
+    denominator = st.one_of(st.integers(1, 12), st.integers(10**29, 10**30 - 1))
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), denominator)
+    terms = []
+    for idx, c, cancel in draw(st.lists(st.tuples(index, coeff, st.booleans()), max_size=8)):
+        terms.append((idx, c))
+        if cancel:
+            # reversing k indices takes k(k - 1)/2 transpositions
+            terms.append((idx[::-1], -c if degree * (degree - 1) // 2 % 2 == 0 else c))
+    return g, Cochain(g.dim, degree, terms)
+
+
 class TestDifferential:
     @pytest.mark.parametrize("name", ["gl3", "gl4", "gl5", "sl4"])
     def test_matches_fraction_oracle(self, name):
@@ -470,6 +505,48 @@ class TestDifferential:
         for degree in (1, 2, 3):
             c = random_rational_cochain(rng, g.dim, degree, density=0.2)
             assert ce_differential(g, c) == ce_differential_fraction(g, c)
+
+    @settings(max_examples=80, deadline=None)
+    @given(differential_cases())
+    def test_mask_keys_match_fraction_oracle(self, case):
+        # gl(9) has dimension 81, so its masks have bits above 63
+        g, c = case
+        dc = ce_differential(g, c)
+        assert dc == ce_differential_fraction(g, c)
+        assert ce_differential(g, dc).is_zero()
+
+    def test_indices_above_63(self):
+        g = differential_algebra("gl9")
+        e = g.index
+        big = 10**30 + 57
+        psi = Cochain(
+            g.dim,
+            3,
+            {(e("e88"), e("e89"), e("e99")): 1, (e("e87"), e("e91"), e("e98")): Fraction(3, big)},
+        )
+        assert min(i for idx in psi.terms for i in idx) >= 64
+        dpsi = ce_differential(g, psi)
+        assert not dpsi.is_zero()
+        assert dpsi == ce_differential_fraction(g, psi)
+        # -e*_88 ^ d e*_89 ^ e*_99 with the term e*_81 ^ e*_19 of d e*_89
+        assert dpsi.coefficient(e("e19"), e("e81"), e("e88"), e("e99")) == 1
+
+    def test_mask_index_is_built_once_on_demand(self):
+        g0 = gl(3)
+        g = LieAlgebra(g0.labels, g0.table)
+        view = g.integer_table()
+        assert view._masks is None
+        ce_differential(g, Cochain.zero(g.dim, 2))
+        assert view._masks is None
+        ce_differential(g, Cochain.basis(g.dim, 4))
+        masks = view._masks
+        assert masks is not None
+        ce_differential(g, Cochain(g.dim, 2, {(0, 8): 3}))
+        assert g.integer_table().masks is masks
+        for terms, mask_terms in zip(view.by_output, masks, strict=True):
+            assert mask_terms == [
+                (2**i + 2**j, sum(2**k for k in range(i + 1, j)), w, -w) for i, j, w in terms
+            ]
 
     def test_degree_zero(self):
         g = heisenberg()

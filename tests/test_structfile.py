@@ -316,6 +316,36 @@ class TestAlgebraReuse:
         assert (str(warm.value), warm.value.line) == (str(cold.value), cold.value.line)
         assert len(structfile._algebras) == 1
 
+    @pytest.mark.parametrize(
+        "line, extra, lineno, match",
+        [
+            ("labels = x y\n", "labels = z\n", 4, "duplicate labels line"),
+            ("bracket x y = y\n", "dim = 3\n", 5, "duplicate dim line"),
+        ],
+        ids=["labels", "dim"],
+    )
+    def test_second_labels_or_dim_line_is_refused(self, line, extra, lineno, match):
+        # one labels line and at most one dim line: before, labels lines
+        # were appended to each other and the last dim won
+        good = "[algebra]\ndim = 2\nlabels = x y\nbracket x y = y\n[r]\nterm x y = 1\n"
+        bad = good.replace(line, line + extra)
+        with pytest.raises(StructureFileError, match=f"^line {lineno}: {match}") as cold:
+            parse(bad)
+        assert not structfile._algebras
+        stored = parse(good).algebra
+        with pytest.raises(StructureFileError) as warm:
+            parse(bad)
+        assert (str(warm.value), warm.value.line) == (str(cold.value), cold.value.line)
+        assert list(structfile._algebras.values()) == [stored]
+
+    def test_labels_and_dim_lines_repeated_in_either_order(self):
+        text = "[algebra]\ndim = 5\nlabels = x y\nlabels = z\ndim = 3\n"
+        with pytest.raises(StructureFileError, match="^line 4: duplicate labels line"):
+            parse(text)
+        with pytest.raises(StructureFileError, match="^line 3: duplicate dim line"):
+            parse("[algebra]\ndim = 3\ndim = 3\nlabels = x y z\n")
+        assert not structfile._algebras
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
