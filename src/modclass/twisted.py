@@ -16,11 +16,24 @@ With (d e*_m)(x, y) = e*_m([x, y]), the term <a, [r#b, r#c]> is
 (d e*_a)(r#b, r#c), so T(r) = sum over m of e_m ^ r#^*(d e*_m) is a
 pullback along r#, like the psi side.  Both run in one integer loop over
 the sparse rows of r# (``_wedge_sum``): T(r) from the by-output index of
-the table scaled by D (``LieAlgebra.integer_table``), psi from its terms,
-with one accumulator for each product of the denominators of the four
-factors.  ``verify_twisted_cybe`` feeds T(r) and -CYBE_SIGN times the
-pullback through the same loop, and builds the residual as one
-Multivector.
+the table scaled by D (``LieAlgebra.integer_table``), psi from its terms.
+``verify_twisted_cybe`` feeds T(r) and -CYBE_SIGN times the pullback
+through the same loop, and builds the residual as one Multivector.
+
+That loop and the dual-bracket loop below prepare the rows of r# by one
+rule (``_prepare_rows``), decided from the operands' denominators before
+the loop runs.  With L, P and D the lcms of the denominators of r, of psi
+and of the table (and V of the vectors a pairing reads), the residual
+has the common denominator D P L^3 and the pairings D P V L^2.  When
+that has at most COMMON_DENOMINATOR_BITS bits, the rows are those of
+L r#, every entry over 1, every term is weighted onto the common
+denominator, and every product lands in one int accumulator, so that
+zero sums cancel in ints and only nonzero keys become Fractions
+(``from_groups``).  A longer one would make every product carry it, so
+each row entry and each term then keep their denominators and a product
+goes to the accumulator of the product of its factors' denominators.
+Both branches run the same loops, and in both a table or psi term that
+reads an empty row of r# is skipped before any arithmetic.
 
 The residual R = T(r) - CYBE_SIGN * r#^*psi is the defect of the dual
 structure: r#[e_a*, e_b*]_r - [r#e_a*, r#e_b*] = -R(e_a*, e_b*, .), and
@@ -47,7 +60,7 @@ at the unit vectors it is the dual table (``_dual_table``, read only by
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +84,15 @@ from .linalg import Matrix, SparseVec, Vector, dense, rref, sparse
 
 #: Global sign relating T(r) to the pullback of psi, frozen once.
 CYBE_SIGN = Fraction(-1)
+
+#: The r# passes sum every product in one int accumulator when its
+#: denominator has at most this many bits (``_prepare_rows``).  On sl(3),
+#: r and psi over 28 basis pairs and triples, each term over its own random
+#: k-digit denominator (Python 3.11, 2 cores), the one accumulator is 7.5x
+#: faster for the residual at ~500 bits (k = 3); the two break even at
+#: 4,400..5,500 bits for the residual and 1,900..3,700 for the pairings;
+#: the one accumulator is 3.5x slower for the pairings at 10,800 bits.
+COMMON_DENOMINATOR_BITS = 4096
 
 
 class PsiNotClosedError(ValueError):
@@ -102,42 +124,81 @@ def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
     return cols
 
 
-def _sharp_rows(r: Multivector) -> list[list[tuple[int, int, int]]]:
+def _sharp_rows(r: Multivector, scale: int) -> list[list[tuple[int, int, int]]]:
     """Row i of the r# matrix, the pullback of e*_i along r#, for each i, as
-    (index, numerator, denominator) triples.
+    (index, numerator, denominator) triples; with a scale L that every
+    denominator of r divides, row i of L r#, every entry over 1.
 
     The matrix is skew, so row i is minus column i (``_sharp_columns``).
     """
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(r.dim)]
     for (i, j), c in r.terms.items():
-        rows[i].append((j, -c.numerator, c.denominator))
-        rows[j].append((i, c.numerator, c.denominator))
+        if scale:
+            n, d = c.numerator * (scale // c.denominator), 1
+        else:
+            n, d = c.numerator, c.denominator
+        rows[i].append((j, -n, d))
+        rows[j].append((i, n, d))
     return rows
 
 
-def _cybe_terms(g: LieAlgebra, rows: list):
-    """T(r) as terms (w, D, e_m, row_i, row_j), one per (i, j, w) in
-    ``by_output[m]``: D d e*_m pulls back to the sum of w row_i ^ row_j."""
+def _lcm_den(values) -> int:
+    return math.lcm(*(c.denominator for c in values))
+
+
+def _prepare_rows(r: Multivector, fixed: int, power: int):
+    """The rows of r# for one pass, by the rule, and the map (d, k) ->
+    (m, q) under which a term n / d over k rows of r# is n m / q.
+
+    With L the lcm of r's denominators, a pass whose terms run over at
+    most ``power`` rows has the common denominator Q = fixed * L^power.
+    When Q has at most COMMON_DENOMINATOR_BITS bits, the rows are those of
+    L r#, over 1, and a term is n Q / (L^k d) over Q, so that every
+    product lands in one int accumulator; otherwise each row entry and each
+    term keep their denominators, and a product goes to the accumulator of
+    the product of its factors' denominators.
+    """
+    scale = _lcm_den(r.terms.values())
+    q = fixed * scale**power
+    if q.bit_length() > COMMON_DENOMINATOR_BITS:
+        return _sharp_rows(r, 0), lambda d, k: (1, d)
+    over = [q // scale**k for k in range(power + 1)]
+    return _sharp_rows(r, scale), lambda d, k: (over[k] // d, q)
+
+
+def _trivector_terms(g: LieAlgebra, r: Multivector, table: bool, psi: Cochain, weight: Fraction):
+    """The terms (n, d, us, vs, xs) of ``_wedge_sum`` for T(r), when
+    ``table``, plus weight * (pullback of psi).
+
+    T(r) has one term w e_m ^ row_i ^ row_j over D per (i, j, w) in
+    ``by_output[m]``, since D d e*_m pulls back to the sum of w row_i ^
+    row_j; the pullback of psi one term c row_i ^ row_j ^ row_k per term
+    c e*_i ^ e*_j ^ e*_k.  A term with an empty row is skipped before any
+    arithmetic.
+    """
     view = g.integer_table()
-    for m, terms in enumerate(view.by_output):
-        e_m = ((m, 1, 1),)
-        for i, j, w in terms:
-            yield w, view.scale, e_m, rows[i], rows[j]
-
-
-def _psi_terms(rows: list, psi: Cochain, weight: Fraction):
-    """weight * (pullback of psi) as terms (c, row_i, row_j, row_k), one per
-    term c e*_i ^ e*_j ^ e*_k of psi."""
+    fixed = view.scale * _lcm_den(psi.terms.values())
+    rows, weigh = _prepare_rows(r, fixed, 3)
+    if table:
+        tm, tq = weigh(view.scale, 2)
+        for m, terms in enumerate(view.by_output):
+            e_m = ((m, 1, 1),)
+            for i, j, w in terms:
+                if rows[i] and rows[j]:
+                    yield w * tm, tq, e_m, rows[i], rows[j]
     for (i, j, k), c in psi.terms.items():
-        c = weight * c
-        yield c.numerator, c.denominator, rows[i], rows[j], rows[k]
+        if rows[i] and rows[j] and rows[k]:
+            pm, pq = weigh(weight.denominator * c.denominator, 3)
+            yield weight.numerator * c.numerator * pm, pq, rows[i], rows[j], rows[k]
 
 
 def _wedge_sum(dim: int, terms) -> Multivector:
-    """The sum of (n / d) u ^ v ^ x over the terms (n, d, u, v, x).
+    """The sum of (n / d) u ^ v ^ x over the terms (n, d, us, vs, xs).
 
     A product of four factors adds its numerator to the accumulator of the
-    product of their denominators; each index triple is sorted inline.
+    product of their denominators; each index triple is sorted inline.  In
+    the common branch of the rule (``_prepare_rows``) every term is over
+    the same Q and every row entry over 1, so there is one accumulator.
     """
     groups: Groups = {}
     for cn, cd, us, vs, xs in terms:
@@ -181,16 +242,18 @@ def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
     of (d e*_a)(r#b, r#c), and (e_m ^ beta)(a, b, c) is the cyclic sum of
     a_m beta(b, c).  It runs on ints, in the loop of the psi pullback
     (``_wedge_sum``), over the by-output index of the table scaled by D,
-    the lcm of its denominators (``LieAlgebra.integer_table``).
+    the lcm of its denominators (``LieAlgebra.integer_table``), with one
+    accumulator over D L^3 when that is short (``_prepare_rows``).  A
+    table term that reads an empty row of r# is skipped.
     """
     _check_operands(g, r)
-    return _wedge_sum(g.dim, _cybe_terms(g, _sharp_rows(r)))
+    return _wedge_sum(g.dim, _trivector_terms(g, r, True, Cochain.zero(g.dim, 3), Fraction(0)))
 
 
 def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
     """The trivector (a, b, c) -> psi(r#a, r#b, r#c), summed on ints."""
     _check_operands(g, r, psi)
-    return _wedge_sum(g.dim, _psi_terms(_sharp_rows(r), psi, Fraction(1)))
+    return _wedge_sum(g.dim, _trivector_terms(g, r, False, psi, Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -203,12 +266,12 @@ def _cybe_residual(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
     """T(r) - CYBE_SIGN * (pullback of psi), summed in one pass.
 
     Both parts go through the same loop and accumulators, so the residual
-    is built as one Multivector.
+    is built as one Multivector; in the common branch of the rule
+    (``_prepare_rows``) they share one accumulator over D P L^3, so a zero
+    residual cancels in ints.
     """
     _check_operands(g, r, psi)
-    rows = _sharp_rows(r)
-    terms = itertools.chain(_cybe_terms(g, rows), _psi_terms(rows, psi, -CYBE_SIGN))
-    return _wedge_sum(g.dim, terms)
+    return _wedge_sum(g.dim, _trivector_terms(g, r, True, psi, -CYBE_SIGN))
 
 
 def verify_twisted_cybe(g: LieAlgebra, r: Multivector, psi: Cochain) -> CybeResult:
@@ -313,32 +376,41 @@ def _first_slot(psi: Cochain):
         yield s, (p, q), c
 
 
-def _dual_terms(structure: TwistedTriangularStructure, at: list[SparseVec]):
+def _dual_terms(structure: TwistedTriangularStructure, vectors: Sequence[SparseVec]):
     """The pairings <[e_a*, e_b*]_r, vectors[o]> as terms (o, n, d, us, xs),
     each (n / d) u ^ x at index o, for u and x with the sparse entries us
-    and xs, (index, numerator, denominator) triples.
+    and xs, (index, numerator, denominator) triples of the rows of r# that
+    the rule of ``_prepare_rows`` prepares.
 
     With x_a = r#e_a*, the pairing with v is -e_b*([x_a, v]) +
-    e_a*([x_b, v]) + psi(v, x_a, x_b), read along the rows of r#
-    (``_sharp_rows``: row i maps a to x_a[i]), and ``at[t]`` maps o to
-    vectors[o][t]:
+    e_a*([x_b, v]) + psi(v, x_a, x_b), read along the rows of r# (row i
+    maps a to x_a[i]), and ``at[t]`` maps o to vectors[o][t]:
 
     * a term (i, j, w) of D d e*_m (``by_output``) gives D [x_a, v] the
       e_m-coefficient w (x_a[i] v[j] - x_a[j] v[i]);
     * psi(e_t, e_j, e_k) = c (``_first_slot``) gives c v_t (x_a[j] x_b[k]
       - x_a[k] x_b[j]).
+
+    A term with an empty row is skipped before any arithmetic.
     """
-    view = structure.g.integer_table()
-    rows = _sharp_rows(structure.r)
+    g, psi = structure.g, structure.psi
+    view = g.integer_table()
+    at = transpose(vectors, g.dim)
+    fixed = view.scale * _lcm_den(psi.terms.values()) * _lcm_den(y for v in at for y in v.values())
+    rows, weigh = _prepare_rows(structure.r, fixed, 2)
     for m, terms in enumerate(view.by_output):
         e_m = ((m, 1, 1),)
         for i, j, w in terms:
             for s, t, f in ((i, j, -w), (j, i, w)):
-                for o, y in at[t].items():
-                    yield o, f * y.numerator, view.scale * y.denominator, rows[s], e_m
-    for t, (j, k), c in _first_slot(structure.psi):
-        for o, y in at[t].items():
-            yield o, c.numerator * y.numerator, c.denominator * y.denominator, rows[j], rows[k]
+                if rows[s]:
+                    for o, y in at[t].items():
+                        ym, yq = weigh(view.scale * y.denominator, 1)
+                        yield o, f * y.numerator * ym, yq, rows[s], e_m
+    for t, (j, k), c in _first_slot(psi):
+        if rows[j] and rows[k]:
+            for o, y in at[t].items():
+                ym, yq = weigh(c.denominator * y.denominator, 2)
+                yield o, c.numerator * y.numerator * ym, yq, rows[j], rows[k]
 
 
 def _dual_brackets(
@@ -346,9 +418,11 @@ def _dual_brackets(
 ) -> dict[tuple[int, int, int], Fraction]:
     """The nonzero pairings <[e_a*, e_b*]_r, vectors[o]>, at keys (a, b, o)
     with a < b, summed on ints over ``_dual_terms``: a product adds its
-    numerator to the accumulator of its denominator (``from_groups``)."""
+    numerator to the accumulator of its denominator (``from_groups``), the
+    one accumulator over D P V L^2 in the common branch of the rule
+    (``_prepare_rows``)."""
     groups: Groups = {}
-    for o, cn, cd, us, xs in _dual_terms(structure, transpose(vectors, structure.g.dim)):
+    for o, cn, cd, us, xs in _dual_terms(structure, vectors):
         for a, an, ad in us:
             for b, bn, bd in xs:
                 if a < b:

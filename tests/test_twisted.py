@@ -1,11 +1,13 @@
+import contextlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as hst
 
 from conftest import make_random_linearize_input, random_cochain, random_multivector
-from modclass import twisted
+from modclass import liealg, twisted
 from modclass.catalog import affine_algebra, gl, sl
 from modclass.frobenius import linearize
 from modclass.liealg import (
@@ -16,6 +18,7 @@ from modclass.liealg import (
     NotClosedError,
     annihilator,
     ce_differential,
+    coadjoint_character,
     span_subalgebra,
     trace_adjoint,
 )
@@ -303,6 +306,227 @@ class TestIntegerResidual:
         assert len(dens) == 56 and len(r.terms) == len(psi.terms) == 28
         assert not assert_integer_residual(g, r, psi).is_zero()
         assert ce_differential(g, psi) == ce_differential_fraction(g, psi)
+
+
+def oracle_residual(g, r, psi):
+    """T(r) - CYBE_SIGN * (pullback of psi) from the Fraction loops."""
+    return cybe_lhs_trivector_fraction(g, r) - CYBE_SIGN * psi_pullback_trivector_fraction(g, r, psi)
+
+
+class _BranchTaken(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def rule_branches(stop=False):
+    """Record the branch of the denominator rule that each r# pass takes,
+    read off the scale ``_sharp_rows`` gets: L in the common branch, 0 in
+    the grouped one.  With ``stop``, the pass raises _BranchTaken as soon
+    as its branch is recorded."""
+    seen = []
+    real = twisted._sharp_rows
+
+    def spy(r, scale):
+        seen.append("common" if scale else "grouped")
+        if stop:
+            raise _BranchTaken
+        return real(r, scale)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twisted, "_sharp_rows", spy)
+        yield seen
+
+
+def long_operands(g, digits, rng):
+    """r over every basis pair and psi = d mu for mu over every basis pair,
+    each term of r and mu over its own random ``digits``-digit denominator;
+    psi is closed."""
+    pairs = list(itertools.combinations(range(g.dim), 2))
+
+    def coefficient():
+        return Fraction(rng.randint(1, 99), rng.randrange(10 ** (digits - 1), 10**digits))
+
+    r = Multivector(g.dim, 2, {idx: coefficient() for idx in pairs})
+    mu = Cochain(g.dim, 2, {idx: coefficient() for idx in pairs})
+    return r, ce_differential(g, mu)
+
+
+RULE_ALGEBRAS = {"gl(3)": lambda: gl(3), "gl3_rescaled": gl3_rescaled, "sl(3)": lambda: sl(3)}
+# denominator class -> (denominators, least number of terms of r and of
+# psi); the long class has enough terms that most draws take the grouped
+# branch, the others the common one
+RULE_DENOMINATORS = {
+    "1..12": (hst.integers(1, 12), 0, 0),
+    "3 digits": (hst.integers(100, 999), 0, 0),
+    "20..60 digits": (
+        hst.integers(20, 60).flatmap(lambda k: hst.integers(10 ** (k - 1), 10**k - 1)),
+        16,
+        8,
+    ),
+}
+
+
+@hst.composite
+def rule_operands(draw):
+    """(g, r, psi) on gl(3), ``gl3_rescaled`` (D = 6) or sl(3), every
+    coefficient over a denominator of one drawn class."""
+    g = RULE_ALGEBRAS[draw(hst.sampled_from(sorted(RULE_ALGEBRAS)))]()
+    dens, r_least, psi_least = RULE_DENOMINATORS[draw(hst.sampled_from(sorted(RULE_DENOMINATORS)))]
+    coefficient = hst.builds(Fraction, hst.integers(1, 9) | hst.integers(-9, -1), dens)
+
+    def alternating(cls, degree, least, most):
+        slots = list(itertools.combinations(range(g.dim), degree))
+        chosen = draw(hst.lists(hst.sampled_from(slots), unique=True, min_size=least, max_size=most))
+        return cls(g.dim, degree, {idx: draw(coefficient) for idx in chosen})
+
+    return g, alternating(Multivector, 2, r_least, 28), alternating(Cochain, 3, psi_least, 16)
+
+
+class TestDenominatorRule:
+    """Both branches of the rule of ``twisted._prepare_rows``: one int
+    accumulator over a common denominator when it is short, one per product
+    of denominators when it is long; equal results either way."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_operands())
+    def test_trivectors_match_the_fraction_loops(self, operands):
+        g, r, psi = operands
+        lhs = cybe_lhs_trivector_fraction(g, r)
+        pulled = psi_pullback_trivector_fraction(g, r, psi)
+        with rule_branches() as seen:
+            assert cybe_lhs_trivector(g, r) == lhs
+            assert psi_pullback_trivector(g, r, psi) == pulled
+            assert _cybe_residual(g, r, psi) == lhs - CYBE_SIGN * pulled
+        event(f"residual: {seen[-1]} branch")
+
+    def test_table_scale_enters_the_common_denominator(self):
+        # integer r and psi on ``gl3_rescaled``: L = P = 1, so the table's
+        # D = 6 alone makes the common denominator of the residual
+        rng = random.Random(917)
+        g = gl3_rescaled()
+        for _ in range(4):
+            r = random_multivector(rng, g.dim, 2, density=0.4)
+            psi = random_cochain(rng, g.dim, 3, density=0.2)
+            with rule_branches() as seen:
+                assert cybe_lhs_trivector(g, r) == cybe_lhs_trivector_fraction(g, r)
+                assert _cybe_residual(g, r, psi) == oracle_residual(g, r, psi)
+            assert seen == ["common", "common"]
+            assert not cybe_lhs_trivector(g, r).is_zero()
+
+    def test_dual_brackets_match_the_dense_oracle(self):
+        rng = random.Random(912)
+        g = sl(3)
+        cases = [(st, "common") for st in rescaled_structures(913, 2)]
+        cases.append((TwistedTriangularStructure.unchecked(g, *long_operands(g, 20, rng)), "grouped"))
+        for st, branch in cases:
+            n = st.g.dim
+            basis = [Cochain.basis(n, a) for a in range(n)]
+            oracle = {
+                (a, b): dual_bracket(st, basis[a], basis[b]).to_vector()
+                for a, b in itertools.combinations(range(n), 2)
+            }
+            units = [{o: F(1)} for o in range(n)]
+            thetas = []
+            for _ in range(3):
+                theta = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for k in range(n)}
+                thetas.append({k: c for k, c in theta.items() if c})
+            with rule_branches() as seen:
+                at_units = _dual_brackets(st, units)
+                at_thetas = _dual_brackets(st, thetas)
+            assert seen == [branch, branch]
+            assert at_units == {
+                (a, b, o): c for (a, b), w in oracle.items() for o, c in enumerate(w) if c
+            }
+            for o, theta in enumerate(thetas):
+                pairings = {(a, b): c for (a, b, p), c in at_thetas.items() if p == o}
+                assert pairings == oracle_pairing(oracle, theta)
+
+    def test_branch_of_each_pass(self, q_entries, gg_entries):
+        # every catalog and linearize operand takes the common branch
+        rng = random.Random(914)
+        lin = linearize(*make_random_linearize_input(rng))
+        for st in (q_entries[6].structure, gg_entries[6].structure, lin):
+            with rule_branches() as seen:
+                _cybe_residual(st.g, st.r, st.psi)
+                _dual_brackets(st, [{o: 1} for o in range(st.g.dim)])
+            assert seen == ["common", "common"]
+        # sl(3) with every term over its own k-digit denominator; the pass
+        # stops once its branch is recorded, so 300 digits cost nothing
+        g = sl(3)
+        for digits, branch in ((1, "common"), (2, "common"), (3, "common"),
+                               (20, "grouped"), (60, "grouped"), (300, "grouped")):
+            st = TwistedTriangularStructure.unchecked(g, *long_operands(g, digits, rng))
+            with rule_branches(stop=True) as seen:
+                with pytest.raises(_BranchTaken):
+                    _cybe_residual(g, st.r, st.psi)
+            assert seen == [branch]
+        with rule_branches(stop=True) as seen:
+            with pytest.raises(_BranchTaken):
+                _dual_brackets(st, [{o: 1} for o in range(g.dim)])
+        assert seen == ["grouped"]
+
+    @pytest.mark.parametrize("branch", ["common", "grouped"])
+    def test_nonzero_residual_message(self, q_entries, branch):
+        # a structure with R != 0 and mixed denominators fails in the
+        # constructor with the residual of the Fraction loops in its message
+        if branch == "common":
+            base = q_entries[3].structure
+            g = base.g
+            r = base.r + Multivector(g.dim, 2, {(0, 4): Fraction(1, 3)})
+            psi = base.psi + ce_differential(g, Cochain(g.dim, 2, {(1, 2): Fraction(2, 7)}))
+        else:
+            g = sl(3)
+            r, psi = long_operands(g, 20, random.Random(916))
+        expected = oracle_residual(g, r, psi)
+        assert not expected.is_zero()
+        assert {c.denominator for c in r.terms.values()} != {1}
+        with rule_branches() as seen:
+            with pytest.raises(StructureInvariantError) as info:
+                TwistedTriangularStructure(g, r, psi)
+        assert seen == [branch]
+        assert str(info.value) == f"twisted Yang-Baxter equation fails; residual {expected!r}"
+
+    def test_empty_rows_are_skipped(self, monkeypatch):
+        # a linearization's r lives on its subalgebra, so r# has empty
+        # rows, and the terms that read one are never visited
+        st = linearize(*make_random_linearize_input(random.Random(915)))
+        g, r, psi = st.g, st.r, st.psi
+        live = {i for idx in r.terms for i in idx}
+        view = g.integer_table()
+        live_table = sum(1 for terms in view.by_output for i, j, _ in terms if {i, j} <= live)
+        live_psi = sum(1 for idx in psi.terms if set(idx) <= live)
+        assert live_table < sum(map(len, view.by_output))
+        assert live_psi < len(psi.terms)
+
+        visited = []
+
+        def spy(dim, terms):
+            terms = list(terms)
+            visited.extend(terms)
+            return wedge_sum(dim, terms)
+
+        wedge_sum = twisted._wedge_sum
+        monkeypatch.setattr(twisted, "_wedge_sum", spy)
+        assert _cybe_residual(g, r, psi) == oracle_residual(g, r, psi)
+        assert len(visited) == live_table + live_psi
+        assert all(us and vs and xs for _, _, us, vs, xs in visited)
+
+        # the pairings at the unit vectors: a table term (i, j, w) reads
+        # row i and row j once each, a psi slot (t, (j, k)) rows j and k
+        dual_terms = twisted._dual_terms
+        pairing_terms = []
+
+        def dual_spy(structure, vectors):
+            for term in dual_terms(structure, vectors):
+                pairing_terms.append(term)
+                yield term
+
+        monkeypatch.setattr(twisted, "_dual_terms", dual_spy)
+        twisted._dual_brackets(st, [{o: 1} for o in range(g.dim)])
+        live_slots = sum(1 for _, (j, k), _ in twisted._first_slot(psi) if {j, k} <= live)
+        live_sides = sum((i in live) + (j in live) for terms in view.by_output for i, j, _ in terms)
+        assert len(pairing_terms) == live_sides + live_slots
+        assert all(us and xs for _, _, _, us, xs in pairing_terms)
 
 
 class TestPullbackAgainstWedgeSum:
@@ -858,7 +1082,35 @@ class TestModularClass:
             ("e13", InternalDisagreementError, "not opposite"),
         ],
     )
-    def test_corrupted_kernel(self, affine_entry, extra, error, match):
+    def test_corrupted_kernel(self, monkeypatch, affine_entry, extra, error, match):
+        # coadjoint_character refuses such a kernel itself (the next test),
+        # so the unchecked trace stands in for it and the corrupted kernel
+        # reaches the crosschecks of modular_class
+        def unchecked_trace(g, p, ann):
+            pairs = (({q: 1}, gamma.terms) for gamma, q in zip(ann, p.complement))
+            return -liealg._trace_pairs(g, p.rows, pairs)
+
+        monkeypatch.setattr(twisted, "coadjoint_character", unchecked_trace)
+        st = self.corrupted_kernel_structure(affine_entry, extra)
+        with pytest.raises(error, match=match):
+            modular_class(st)
+
+    @pytest.mark.parametrize("extra", ["e11", "e13"])
+    def test_coadjoint_character_refuses_corrupted_kernel(self, affine_entry, extra):
+        # both covectors are 1 and 0 at the complement coordinates, but
+        # neither vanishes on the carrier
+        st = self.corrupted_kernel_structure(affine_entry, extra)
+        carrier, kernel = carrier_and_kernel(st)
+        assert coadjoint_character(st.g, carrier, annihilator(st.g, carrier)) is not None
+        with pytest.raises(ValueError, match="canonical annihilator"):
+            coadjoint_character(st.g, carrier, kernel)
+        with pytest.raises(ValueError, match="canonical annihilator"):
+            modular_class(st)
+
+    @staticmethod
+    def corrupted_kernel_structure(affine_entry, extra):
+        """A fresh affine structure whose kernel is e12* + extra* in place of
+        e12*, with the rest of the canonical kernel."""
         base = affine_entry.structure
         g = base.g
         st = TwistedTriangularStructure(g, base.r, base.psi)
@@ -866,8 +1118,7 @@ class TestModularClass:
         assert kernel[0] == Cochain.basis(g.dim, g.index("e12"))
         bad = [kernel[0] + Cochain.basis(g.dim, g.index(extra))] + kernel[1:]
         object.__setattr__(st, "_kernel", bad)
-        with pytest.raises(error, match=match):
-            modular_class(st)
+        return st
 
     def test_sharp_homomorphism_when_pushed_entry_cancels(self):
         # abelian g = <e0, e1, e2>, r = e0 ^ (e1 + e2), psi = e0* ^ e1* ^ e2*:
