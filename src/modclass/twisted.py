@@ -398,14 +398,18 @@ def _dual_terms(structure: TwistedTriangularStructure, vectors: Sequence[SparseV
     at = transpose(vectors, g.dim)
     fixed = view.scale * _lcm_den(psi.terms.values()) * _lcm_den(y for v in at for y in v.values())
     rows, weigh = _prepare_rows(structure.r, fixed, 2)
+    # every table term weighs an entry of the vectors alike, so once
+    sides = [
+        [(o, y.numerator * ym, yq) for o, y in v.items() for ym, yq in (weigh(view.scale * y.denominator, 1),)]
+        for v in at
+    ]
     for m, terms in enumerate(view.by_output):
         e_m = ((m, 1, 1),)
         for i, j, w in terms:
             for s, t, f in ((i, j, -w), (j, i, w)):
                 if rows[s]:
-                    for o, y in at[t].items():
-                        ym, yq = weigh(view.scale * y.denominator, 1)
-                        yield o, f * y.numerator * ym, yq, rows[s], e_m
+                    for o, yn, yq in sides[t]:
+                        yield o, f * yn, yq, rows[s], e_m
     for t, (j, k), c in _first_slot(psi):
         if rows[j] and rows[k]:
             for o, y in at[t].items():
