@@ -400,7 +400,11 @@ def _dual_terms(structure: TwistedTriangularStructure, vectors: Sequence[SparseV
     rows, weigh = _prepare_rows(structure.r, fixed, 2)
     # every table term weighs an entry of the vectors alike, so once
     sides = [
-        [(o, y.numerator * ym, yq) for o, y in v.items() for ym, yq in (weigh(view.scale * y.denominator, 1),)]
+        [
+            (o, y.numerator * ym, yq)
+            for o, y in v.items()
+            for ym, yq in (weigh(view.scale * y.denominator, 1),)
+        ]
         for v in at
     ]
     for m, terms in enumerate(view.by_output):
