@@ -32,12 +32,9 @@ bit masks, not tuples, over the mask index, a part of ``IntegerTable``
 built lazily from the by-output index the first time a nonzero cochain
 asks for it and read only by ``ce_differential``; only the nonzero sums
 are turned back into tuples.  The Yang-Baxter residual and the dual
-brackets of ``twisted`` reach ``from_groups`` by one rule: every product
-over one common denominator when it has at most
-``twisted.COMMON_DENOMINATOR_BITS`` = 4096 bits, one accumulator per
-product of the factors' denominators above that (measured on sl(3) with
-every term over its own k-digit denominator, the two break even between
-about 1,900 and 5,500 bits, depending on the pass).
+brackets of ``twisted`` do not group: they put every product over one
+common denominator, from the lcms of the denominators of r, psi, the
+table and the vectors, and sum in one int accumulator.
 ``LieAlgebra.bracket``, which builds only the witness of a span that is
 not closed, looks up one table entry per pair of entries.
 
@@ -842,11 +839,20 @@ def coadjoint_character(g: LieAlgebra, p: Subalgebra, ann: Sequence[Cochain]) ->
     (see ``annihilator``): ann[u] is 1 at the complement coordinate q_u, 0
     at the other complement coordinates and -b_s[q_u] at each pivot p_s,
     so that it vanishes on every row b_s; anything else raises ValueError.
+    The check reads each of those values once, from the columns of the rows.
     The ann[u]-coordinate of a covector in ann(p) is then its value at
     e_(q_u), so the trace is X -> -(sum over u of ann[u]([X, e_(q_u)])),
     from ``_trace_pairs``.
     """
     _check_parent(g, p)
-    if list(ann) != annihilator(g, p):
+    ann = list(ann)
+    column = transpose(p.rows, g.dim)
+    if len(ann) != len(p.complement) or not all(
+        isinstance(gamma, Cochain)
+        and gamma.degree == 1
+        and gamma.dim == g.dim
+        and gamma.terms == {(q,): 1, **{(p.pivots[s],): -x for s, x in column[q].items() if x}}
+        for gamma, q in zip(ann, p.complement)
+    ):
         raise ValueError("expected the canonical annihilator basis of the subalgebra")
     return -_trace_pairs(g, p.rows, (({q: 1}, gamma.terms) for gamma, q in zip(ann, p.complement)))

@@ -20,20 +20,14 @@ the table scaled by D (``LieAlgebra.integer_table``), psi from its terms.
 ``verify_twisted_cybe`` feeds T(r) and -CYBE_SIGN times the pullback
 through the same loop, and builds the residual as one Multivector.
 
-That loop and the dual-bracket loop below prepare the rows of r# by one
-rule (``_prepare_rows``), decided from the operands' denominators before
-the loop runs.  With L, P and D the lcms of the denominators of r, of psi
-and of the table (and V of the vectors a pairing reads), the residual
-has the common denominator D P L^3 and the pairings D P V L^2.  When
-that has at most COMMON_DENOMINATOR_BITS bits, the rows are those of
-L r#, every entry over 1, every term is weighted onto the common
-denominator, and every product lands in one int accumulator, so that
-zero sums cancel in ints and only nonzero keys become Fractions
-(``from_groups``).  A longer one would make every product carry it, so
-each row entry and each term then keep their denominators and a product
-goes to the accumulator of the product of its factors' denominators.
-Both branches run the same loops, and in both a table or psi term that
-reads an empty row of r# is skipped before any arithmetic.
+That loop and the dual-bracket loop below read the rows of L r#, with L
+the lcm of r's denominators, every entry an int (``_scaled_rows``).  With
+P and D the lcms of the denominators of psi and of the table (and V of the
+vectors a pairing reads), every term is weighted onto the common
+denominator, D P L^3 for the residual and D P V L^2 for the pairings, so
+that every product lands in one int accumulator: zero sums cancel in ints
+and only nonzero keys become Fractions.  A table or psi term that reads an
+empty row of r# is skipped before any arithmetic.
 
 The residual R = T(r) - CYBE_SIGN * r#^*psi is the defect of the dual
 structure: r#[e_a*, e_b*]_r - [r#e_a*, r#e_b*] = -R(e_a*, e_b*, .), and
@@ -61,20 +55,19 @@ at the unit vectors it is the dual table (``_dual_table``, read only by
 from __future__ import annotations
 
 import math
+from itertools import chain
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import (
     Cochain,
-    Groups,
     LieAlgebra,
     Multivector,
     Subalgebra,
     annihilator,
     ce_differential,
     coadjoint_character,
-    from_groups,
     pullback,
     quotient_character,
     trace_adjoint,
@@ -84,16 +77,6 @@ from .linalg import Matrix, SparseVec, Vector, dense, rref, sparse
 
 #: Global sign relating T(r) to the pullback of psi, frozen once.
 CYBE_SIGN = Fraction(-1)
-
-#: The r# passes sum every product in one int accumulator when its
-#: denominator has at most this many bits (``_prepare_rows``).  On sl(3),
-#: r and psi over 28 basis pairs and triples, each term over its own random
-#: k-digit denominator (Python 3.11, 2 cores), the one accumulator is 7.5x
-#: faster for the residual at ~500 bits (k = 3); the two break even at
-#: 4,400..5,500 bits for the residual and 1,900..3,700 for the pairings;
-#: the one accumulator is 3.5x slower for the pairings at 10,800 bits.
-COMMON_DENOMINATOR_BITS = 4096
-
 
 class PsiNotClosedError(ValueError):
     """The twist candidate is not a cocycle."""
@@ -124,86 +107,67 @@ def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
     return cols
 
 
-def _sharp_rows(r: Multivector, scale: int) -> list[list[tuple[int, int, int]]]:
-    """Row i of the r# matrix, the pullback of e*_i along r#, for each i, as
-    (index, numerator, denominator) triples; with a scale L that every
-    denominator of r divides, row i of L r#, every entry over 1.
-
-    The matrix is skew, so row i is minus column i (``_sharp_columns``).
-    """
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(r.dim)]
-    for (i, j), c in r.terms.items():
-        if scale:
-            n, d = c.numerator * (scale // c.denominator), 1
-        else:
-            n, d = c.numerator, c.denominator
-        rows[i].append((j, -n, d))
-        rows[j].append((i, n, d))
-    return rows
-
-
 def _lcm_den(values) -> int:
     return math.lcm(*(c.denominator for c in values))
 
 
-def _prepare_rows(r: Multivector, fixed: int, power: int):
-    """The rows of r# for one pass, by the rule, and the map (d, k) ->
-    (m, q) under which a term n / d over k rows of r# is n m / q.
+def _scaled_rows(r: Multivector, fixed: int, power: int):
+    """The rows of L r#, with L the lcm of r's denominators, and the
+    weights of a pass over them whose terms read at most ``power`` rows.
 
-    With L the lcm of r's denominators, a pass whose terms run over at
-    most ``power`` rows has the common denominator Q = fixed * L^power.
-    When Q has at most COMMON_DENOMINATOR_BITS bits, the rows are those of
-    L r#, over 1, and a term is n Q / (L^k d) over Q, so that every
-    product lands in one int accumulator; otherwise each row entry and each
-    term keep their denominators, and a product goes to the accumulator of
-    the product of its factors' denominators.
+    Row i of the r# matrix is the pullback of e*_i along r#; the matrix is
+    skew, so row i is minus column i (``_sharp_columns``).  In L r# every
+    entry is an int, kept as an (index, int) pair.  The pass sums over the
+    common denominator Q = fixed * L^power, and over[k] = Q / L^k, so that
+    a term n / d over k rows of r# is the numerator n * over[k] / d over Q
+    when d divides fixed.
     """
     scale = _lcm_den(r.terms.values())
-    q = fixed * scale**power
-    if q.bit_length() > COMMON_DENOMINATOR_BITS:
-        return _sharp_rows(r, 0), lambda d, k: (1, d)
-    over = [q // scale**k for k in range(power + 1)]
-    return _sharp_rows(r, scale), lambda d, k: (over[k] // d, q)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(r.dim)]
+    for (i, j), c in r.terms.items():
+        n = c.numerator * (scale // c.denominator)
+        rows[i].append((j, -n))
+        rows[j].append((i, n))
+    over = [fixed * scale ** (power - k) for k in range(power + 1)]
+    return rows, over
 
 
-def _trivector_terms(g: LieAlgebra, r: Multivector, table: bool, psi: Cochain, weight: Fraction):
-    """The terms (n, d, us, vs, xs) of ``_wedge_sum`` for T(r), when
-    ``table``, plus weight * (pullback of psi).
-
-    T(r) has one term w e_m ^ row_i ^ row_j over D per (i, j, w) in
-    ``by_output[m]``, since D d e*_m pulls back to the sum of w row_i ^
-    row_j; the pullback of psi one term c row_i ^ row_j ^ row_k per term
-    c e*_i ^ e*_j ^ e*_k.  A term with an empty row is skipped before any
-    arithmetic.
-    """
+def _table_terms(g: LieAlgebra, rows, over):
+    """The terms (n, us, vs, xs) of T(r) for ``_wedge_sum``: one term w
+    e_m ^ row_i ^ row_j over D per (i, j, w) in ``by_output[m]``, since D
+    d e*_m pulls back to the sum of w row_i ^ row_j.  A term with an empty
+    row is skipped before any arithmetic."""
     view = g.integer_table()
-    fixed = view.scale * _lcm_den(psi.terms.values())
-    rows, weigh = _prepare_rows(r, fixed, 3)
-    if table:
-        tm, tq = weigh(view.scale, 2)
-        for m, terms in enumerate(view.by_output):
-            e_m = ((m, 1, 1),)
-            for i, j, w in terms:
-                if rows[i] and rows[j]:
-                    yield w * tm, tq, e_m, rows[i], rows[j]
+    weight = over[2] // view.scale
+    for m, terms in enumerate(view.by_output):
+        e_m = ((m, 1),)
+        for i, j, w in terms:
+            if rows[i] and rows[j]:
+                yield w * weight, e_m, rows[i], rows[j]
+
+
+def _psi_terms(psi: Cochain, rows, over, sign: int):
+    """The terms (n, us, vs, xs) of sign * (pullback of psi) for
+    ``_wedge_sum``: one term c row_i ^ row_j ^ row_k per term c e*_i ^
+    e*_j ^ e*_k.  A term with an empty row is skipped before any
+    arithmetic."""
     for (i, j, k), c in psi.terms.items():
         if rows[i] and rows[j] and rows[k]:
-            pm, pq = weigh(weight.denominator * c.denominator, 3)
-            yield weight.numerator * c.numerator * pm, pq, rows[i], rows[j], rows[k]
+            yield sign * c.numerator * (over[3] // c.denominator), rows[i], rows[j], rows[k]
 
 
-def _wedge_sum(dim: int, terms) -> Multivector:
-    """The sum of (n / d) u ^ v ^ x over the terms (n, d, us, vs, xs).
+def _wedge_sum(dim: int, q: int, terms) -> Multivector:
+    """The sum of (n / q) u ^ v ^ x over the terms (n, us, vs, xs), whose
+    sparse vectors u, v and x have int entries.
 
-    A product of four factors adds its numerator to the accumulator of the
-    product of their denominators; each index triple is sorted inline.  In
-    the common branch of the rule (``_prepare_rows``) every term is over
-    the same Q and every row entry over 1, so there is one accumulator.
+    Every product adds its numerator to one int accumulator, so a zero sum
+    cancels in ints and only nonzero keys become Fractions; each index
+    triple is sorted inline.
     """
-    groups: Groups = {}
-    for cn, cd, us, vs, xs in terms:
-        for a, an, ad in us:
-            for b, bn, bd in vs:
+    acc: dict[tuple[int, int, int], int] = {}
+    for cn, us, vs, xs in terms:
+        for a, an in us:
+            for b, bn in vs:
                 # sort (a, b) inline, then place d into the pair
                 if a < b:
                     lo, hi, f = a, b, cn * an * bn
@@ -211,8 +175,7 @@ def _wedge_sum(dim: int, terms) -> Multivector:
                     lo, hi, f = b, a, -cn * an * bn
                 else:
                     continue
-                q = cd * ad * bd
-                for d, dn, dd in xs:
+                for d, dn in xs:
                     if d < lo:
                         key, v = (d, lo, hi), f * dn
                     elif lo < d < hi:
@@ -221,11 +184,8 @@ def _wedge_sum(dim: int, terms) -> Multivector:
                         key, v = (lo, hi, d), f * dn
                     else:
                         continue
-                    acc = groups.get(q * dd)
-                    if acc is None:
-                        acc = groups[q * dd] = {}
                     acc[key] = acc.get(key, 0) + v
-    return Multivector(dim, 3, from_groups(groups))
+    return Multivector(dim, 3, {key: Fraction(v, q) for key, v in acc.items() if v})
 
 
 def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain | None = None) -> None:
@@ -242,18 +202,21 @@ def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
     of (d e*_a)(r#b, r#c), and (e_m ^ beta)(a, b, c) is the cyclic sum of
     a_m beta(b, c).  It runs on ints, in the loop of the psi pullback
     (``_wedge_sum``), over the by-output index of the table scaled by D,
-    the lcm of its denominators (``LieAlgebra.integer_table``), with one
-    accumulator over D L^3 when that is short (``_prepare_rows``).  A
-    table term that reads an empty row of r# is skipped.
+    the lcm of its denominators (``LieAlgebra.integer_table``), and the
+    rows of L r#, in one accumulator over D L^3.  A table term that reads
+    an empty row of r# is skipped.
     """
     _check_operands(g, r)
-    return _wedge_sum(g.dim, _trivector_terms(g, r, True, Cochain.zero(g.dim, 3), Fraction(0)))
+    rows, over = _scaled_rows(r, g.integer_table().scale, 3)
+    return _wedge_sum(g.dim, over[0], _table_terms(g, rows, over))
 
 
 def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
-    """The trivector (a, b, c) -> psi(r#a, r#b, r#c), summed on ints."""
+    """The trivector (a, b, c) -> psi(r#a, r#b, r#c), summed on ints in one
+    accumulator over P L^3, with P the lcm of psi's denominators."""
     _check_operands(g, r, psi)
-    return _wedge_sum(g.dim, _trivector_terms(g, r, False, psi, Fraction(1)))
+    rows, over = _scaled_rows(r, _lcm_den(psi.terms.values()), 3)
+    return _wedge_sum(g.dim, over[0], _psi_terms(psi, rows, over, 1))
 
 
 @dataclass(frozen=True)
@@ -265,13 +228,14 @@ class CybeResult:
 def _cybe_residual(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
     """T(r) - CYBE_SIGN * (pullback of psi), summed in one pass.
 
-    Both parts go through the same loop and accumulators, so the residual
-    is built as one Multivector; in the common branch of the rule
-    (``_prepare_rows``) they share one accumulator over D P L^3, so a zero
-    residual cancels in ints.
+    Both parts go through the same loop and one accumulator over D P L^3,
+    so the residual is built as one Multivector and a zero residual
+    cancels in ints.
     """
     _check_operands(g, r, psi)
-    return _wedge_sum(g.dim, _trivector_terms(g, r, True, psi, -CYBE_SIGN))
+    rows, over = _scaled_rows(r, g.integer_table().scale * _lcm_den(psi.terms.values()), 3)
+    terms = chain(_table_terms(g, rows, over), _psi_terms(psi, rows, over, int(-CYBE_SIGN)))
+    return _wedge_sum(g.dim, over[0], terms)
 
 
 def verify_twisted_cybe(g: LieAlgebra, r: Multivector, psi: Cochain) -> CybeResult:
@@ -376,15 +340,15 @@ def _first_slot(psi: Cochain):
         yield s, (p, q), c
 
 
-def _dual_terms(structure: TwistedTriangularStructure, vectors: Sequence[SparseVec]):
-    """The pairings <[e_a*, e_b*]_r, vectors[o]> as terms (o, n, d, us, xs),
-    each (n / d) u ^ x at index o, for u and x with the sparse entries us
-    and xs, (index, numerator, denominator) triples of the rows of r# that
-    the rule of ``_prepare_rows`` prepares.
+def _dual_terms(g: LieAlgebra, psi: Cochain, at: list[SparseVec], rows, over):
+    """The pairings <[e_a*, e_b*]_r, vectors[o]> as terms (o, n, us, xs),
+    each n u ^ x over the common denominator at index o, for the rows us
+    and xs of L r# (``_scaled_rows``) and ``at[t]`` mapping o to
+    vectors[o][t].
 
     With x_a = r#e_a*, the pairing with v is -e_b*([x_a, v]) +
     e_a*([x_b, v]) + psi(v, x_a, x_b), read along the rows of r# (row i
-    maps a to x_a[i]), and ``at[t]`` maps o to vectors[o][t]:
+    maps a to x_a[i]):
 
     * a term (i, j, w) of D d e*_m (``by_output``) gives D [x_a, v] the
       e_m-coefficient w (x_a[i] v[j] - x_a[j] v[i]);
@@ -393,57 +357,48 @@ def _dual_terms(structure: TwistedTriangularStructure, vectors: Sequence[SparseV
 
     A term with an empty row is skipped before any arithmetic.
     """
-    g, psi = structure.g, structure.psi
     view = g.integer_table()
-    at = transpose(vectors, g.dim)
-    fixed = view.scale * _lcm_den(psi.terms.values()) * _lcm_den(y for v in at for y in v.values())
-    rows, weigh = _prepare_rows(structure.r, fixed, 2)
     # every table term weighs an entry of the vectors alike, so once
     sides = [
-        [
-            (o, y.numerator * ym, yq)
-            for o, y in v.items()
-            for ym, yq in (weigh(view.scale * y.denominator, 1),)
-        ]
+        [(o, y.numerator * (over[1] // (view.scale * y.denominator))) for o, y in v.items()]
         for v in at
     ]
     for m, terms in enumerate(view.by_output):
-        e_m = ((m, 1, 1),)
+        e_m = ((m, 1),)
         for i, j, w in terms:
             for s, t, f in ((i, j, -w), (j, i, w)):
                 if rows[s]:
-                    for o, yn, yq in sides[t]:
-                        yield o, f * yn, yq, rows[s], e_m
+                    for o, yn in sides[t]:
+                        yield o, f * yn, rows[s], e_m
     for t, (j, k), c in _first_slot(psi):
         if rows[j] and rows[k]:
             for o, y in at[t].items():
-                ym, yq = weigh(c.denominator * y.denominator, 2)
-                yield o, c.numerator * y.numerator * ym, yq, rows[j], rows[k]
+                weight = over[2] // (c.denominator * y.denominator)
+                yield o, c.numerator * y.numerator * weight, rows[j], rows[k]
 
 
 def _dual_brackets(
     structure: TwistedTriangularStructure, vectors: Sequence[SparseVec]
 ) -> dict[tuple[int, int, int], Fraction]:
     """The nonzero pairings <[e_a*, e_b*]_r, vectors[o]>, at keys (a, b, o)
-    with a < b, summed on ints over ``_dual_terms``: a product adds its
-    numerator to the accumulator of its denominator (``from_groups``), the
-    one accumulator over D P V L^2 in the common branch of the rule
-    (``_prepare_rows``)."""
-    groups: Groups = {}
-    for o, cn, cd, us, xs in _dual_terms(structure, vectors):
-        for a, an, ad in us:
-            for b, bn, bd in xs:
+    with a < b, summed on ints over ``_dual_terms`` in one accumulator over
+    D P V L^2, with V the lcm of the vectors' denominators."""
+    g, psi = structure.g, structure.psi
+    at = transpose(vectors, g.dim)
+    fixed = g.integer_table().scale * _lcm_den(psi.terms.values())
+    rows, over = _scaled_rows(structure.r, fixed * _lcm_den(y for v in at for y in v.values()), 2)
+    acc: dict[tuple[int, int, int], int] = {}
+    for o, cn, us, xs in _dual_terms(g, psi, at, rows, over):
+        for a, an in us:
+            for b, bn in xs:
                 if a < b:
                     key, v = (a, b, o), cn * an * bn
                 elif b < a:
                     key, v = (b, a, o), -cn * an * bn
                 else:
                     continue
-                acc = groups.get(cd * ad * bd)
-                if acc is None:
-                    acc = groups[cd * ad * bd] = {}
                 acc[key] = acc.get(key, 0) + v
-    return from_groups(groups)
+    return {key: Fraction(v, over[0]) for key, v in acc.items() if v}
 
 
 def _dual_table(structure: TwistedTriangularStructure) -> dict[tuple[int, int], dict[int, Fraction]]:

@@ -1,10 +1,9 @@
-import contextlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from conftest import make_random_linearize_input, random_cochain, random_multivector
 from modclass import liealg, twisted
@@ -313,30 +312,6 @@ def oracle_residual(g, r, psi):
     return cybe_lhs_trivector_fraction(g, r) - CYBE_SIGN * psi_pullback_trivector_fraction(g, r, psi)
 
 
-class _BranchTaken(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def rule_branches(stop=False):
-    """Record the branch of the denominator rule that each r# pass takes,
-    read off the scale ``_sharp_rows`` gets: L in the common branch, 0 in
-    the grouped one.  With ``stop``, the pass raises _BranchTaken as soon
-    as its branch is recorded."""
-    seen = []
-    real = twisted._sharp_rows
-
-    def spy(r, scale):
-        seen.append("common" if scale else "grouped")
-        if stop:
-            raise _BranchTaken
-        return real(r, scale)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(twisted, "_sharp_rows", spy)
-        yield seen
-
-
 def long_operands(g, digits, rng):
     """r over every basis pair and psi = d mu for mu over every basis pair,
     each term of r and mu over its own random ``digits``-digit denominator;
@@ -353,8 +328,8 @@ def long_operands(g, digits, rng):
 
 RULE_ALGEBRAS = {"gl(3)": lambda: gl(3), "gl3_rescaled": gl3_rescaled, "sl(3)": lambda: sl(3)}
 # denominator class -> (denominators, least number of terms of r and of
-# psi); the long class has enough terms that most draws take the grouped
-# branch, the others the common one
+# psi); the long class has enough terms that most draws have a common
+# denominator of thousands of bits
 RULE_DENOMINATORS = {
     "1..12": (hst.integers(1, 12), 0, 0),
     "3 digits": (hst.integers(100, 999), 0, 0),
@@ -382,10 +357,10 @@ def rule_operands(draw):
     return g, alternating(Multivector, 2, r_least, 28), alternating(Cochain, 3, psi_least, 16)
 
 
-class TestDenominatorRule:
-    """Both branches of the rule of ``twisted._prepare_rows``: one int
-    accumulator over a common denominator when it is short, one per product
-    of denominators when it is long; equal results either way."""
+class TestCommonDenominator:
+    """The r# passes sum every product in one int accumulator over a
+    common denominator (``twisted._scaled_rows``); equal results for short
+    and long denominators."""
 
     @settings(max_examples=60, deadline=None)
     @given(rule_operands())
@@ -393,32 +368,16 @@ class TestDenominatorRule:
         g, r, psi = operands
         lhs = cybe_lhs_trivector_fraction(g, r)
         pulled = psi_pullback_trivector_fraction(g, r, psi)
-        with rule_branches() as seen:
-            assert cybe_lhs_trivector(g, r) == lhs
-            assert psi_pullback_trivector(g, r, psi) == pulled
-            assert _cybe_residual(g, r, psi) == lhs - CYBE_SIGN * pulled
-        event(f"residual: {seen[-1]} branch")
-
-    def test_table_scale_enters_the_common_denominator(self):
-        # integer r and psi on ``gl3_rescaled``: L = P = 1, so the table's
-        # D = 6 alone makes the common denominator of the residual
-        rng = random.Random(917)
-        g = gl3_rescaled()
-        for _ in range(4):
-            r = random_multivector(rng, g.dim, 2, density=0.4)
-            psi = random_cochain(rng, g.dim, 3, density=0.2)
-            with rule_branches() as seen:
-                assert cybe_lhs_trivector(g, r) == cybe_lhs_trivector_fraction(g, r)
-                assert _cybe_residual(g, r, psi) == oracle_residual(g, r, psi)
-            assert seen == ["common", "common"]
-            assert not cybe_lhs_trivector(g, r).is_zero()
+        assert cybe_lhs_trivector(g, r) == lhs
+        assert psi_pullback_trivector(g, r, psi) == pulled
+        assert _cybe_residual(g, r, psi) == lhs - CYBE_SIGN * pulled
 
     def test_dual_brackets_match_the_dense_oracle(self):
         rng = random.Random(912)
         g = sl(3)
-        cases = [(st, "common") for st in rescaled_structures(913, 2)]
-        cases.append((TwistedTriangularStructure.unchecked(g, *long_operands(g, 20, rng)), "grouped"))
-        for st, branch in cases:
+        cases = list(rescaled_structures(913, 2))
+        cases.append(TwistedTriangularStructure.unchecked(g, *long_operands(g, 20, rng)))
+        for st in cases:
             n = st.g.dim
             basis = [Cochain.basis(n, a) for a in range(n)]
             oracle = {
@@ -430,46 +389,19 @@ class TestDenominatorRule:
             for _ in range(3):
                 theta = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for k in range(n)}
                 thetas.append({k: c for k, c in theta.items() if c})
-            with rule_branches() as seen:
-                at_units = _dual_brackets(st, units)
-                at_thetas = _dual_brackets(st, thetas)
-            assert seen == [branch, branch]
-            assert at_units == {
+            at_thetas = _dual_brackets(st, thetas)
+            assert _dual_brackets(st, units) == {
                 (a, b, o): c for (a, b), w in oracle.items() for o, c in enumerate(w) if c
             }
             for o, theta in enumerate(thetas):
                 pairings = {(a, b): c for (a, b, p), c in at_thetas.items() if p == o}
                 assert pairings == oracle_pairing(oracle, theta)
 
-    def test_branch_of_each_pass(self, q_entries, gg_entries):
-        # every catalog and linearize operand takes the common branch
-        rng = random.Random(914)
-        lin = linearize(*make_random_linearize_input(rng))
-        for st in (q_entries[6].structure, gg_entries[6].structure, lin):
-            with rule_branches() as seen:
-                _cybe_residual(st.g, st.r, st.psi)
-                _dual_brackets(st, [{o: 1} for o in range(st.g.dim)])
-            assert seen == ["common", "common"]
-        # sl(3) with every term over its own k-digit denominator; the pass
-        # stops once its branch is recorded, so 300 digits cost nothing
-        g = sl(3)
-        for digits, branch in ((1, "common"), (2, "common"), (3, "common"),
-                               (20, "grouped"), (60, "grouped"), (300, "grouped")):
-            st = TwistedTriangularStructure.unchecked(g, *long_operands(g, digits, rng))
-            with rule_branches(stop=True) as seen:
-                with pytest.raises(_BranchTaken):
-                    _cybe_residual(g, st.r, st.psi)
-            assert seen == [branch]
-        with rule_branches(stop=True) as seen:
-            with pytest.raises(_BranchTaken):
-                _dual_brackets(st, [{o: 1} for o in range(g.dim)])
-        assert seen == ["grouped"]
-
-    @pytest.mark.parametrize("branch", ["common", "grouped"])
-    def test_nonzero_residual_message(self, q_entries, branch):
+    @pytest.mark.parametrize("denominators", ["short", "long"])
+    def test_nonzero_residual_message(self, q_entries, denominators):
         # a structure with R != 0 and mixed denominators fails in the
         # constructor with the residual of the Fraction loops in its message
-        if branch == "common":
+        if denominators == "short":
             base = q_entries[3].structure
             g = base.g
             r = base.r + Multivector(g.dim, 2, {(0, 4): Fraction(1, 3)})
@@ -480,10 +412,8 @@ class TestDenominatorRule:
         expected = oracle_residual(g, r, psi)
         assert not expected.is_zero()
         assert {c.denominator for c in r.terms.values()} != {1}
-        with rule_branches() as seen:
-            with pytest.raises(StructureInvariantError) as info:
-                TwistedTriangularStructure(g, r, psi)
-        assert seen == [branch]
+        with pytest.raises(StructureInvariantError) as info:
+            TwistedTriangularStructure(g, r, psi)
         assert str(info.value) == f"twisted Yang-Baxter equation fails; residual {expected!r}"
 
     def test_empty_rows_are_skipped(self, monkeypatch):
@@ -500,24 +430,24 @@ class TestDenominatorRule:
 
         visited = []
 
-        def spy(dim, terms):
+        def spy(dim, q, terms):
             terms = list(terms)
             visited.extend(terms)
-            return wedge_sum(dim, terms)
+            return wedge_sum(dim, q, terms)
 
         wedge_sum = twisted._wedge_sum
         monkeypatch.setattr(twisted, "_wedge_sum", spy)
         assert _cybe_residual(g, r, psi) == oracle_residual(g, r, psi)
         assert len(visited) == live_table + live_psi
-        assert all(us and vs and xs for _, _, us, vs, xs in visited)
+        assert all(us and vs and xs for _, us, vs, xs in visited)
 
         # the pairings at the unit vectors: a table term (i, j, w) reads
         # row i and row j once each, a psi slot (t, (j, k)) rows j and k
         dual_terms = twisted._dual_terms
         pairing_terms = []
 
-        def dual_spy(structure, vectors):
-            for term in dual_terms(structure, vectors):
+        def dual_spy(*args):
+            for term in dual_terms(*args):
                 pairing_terms.append(term)
                 yield term
 
@@ -526,7 +456,7 @@ class TestDenominatorRule:
         live_slots = sum(1 for _, (j, k), _ in twisted._first_slot(psi) if {j, k} <= live)
         live_sides = sum((i in live) + (j in live) for terms in view.by_output for i, j, _ in terms)
         assert len(pairing_terms) == live_sides + live_slots
-        assert all(us and xs for _, _, _, us, xs in pairing_terms)
+        assert all(us and xs for _, _, us, xs in pairing_terms)
 
 
 class TestPullbackAgainstWedgeSum:
