@@ -102,10 +102,9 @@ class _Report:
             print("\n".join(self.lines), file=stream)
 
 
-def _require(data: StructureData, field: str, command: str):
-    value = getattr(data, field)
+def _require(value, section: str, command: str):
     if value is None:
-        raise StructureFileError(f"the {command} command requires a [{field}] section")
+        raise StructureFileError(f"the {command} command requires a [{section}] section")
     return value
 
 
@@ -288,8 +287,8 @@ def cmd_relations(args, report: _Report) -> None:
 def cmd_frobenius(args, report: _Report) -> None:
     data = parse_path(args.path)
     g = data.algebra
-    vectors = _require(data, "subalgebra_vectors", "frobenius")
-    xi_g = _require(data, "xi", "frobenius")
+    vectors = _require(data.subalgebra_vectors, "subalgebra", "frobenius")
+    xi_g = _require(data.xi, "xi", "frobenius")
     p = _span_or_fail(g, vectors)
     try:
         x = frobenius_modular(g, p, p.restrict_cochain(xi_g))
@@ -311,8 +310,8 @@ def cmd_frobenius(args, report: _Report) -> None:
 def cmd_linearize(args, report: _Report) -> None:
     data = parse_path(args.path)
     g = data.algebra
-    vectors = _require(data, "subalgebra_vectors", "linearize")
-    mu = _require(data, "mu", "linearize")
+    vectors = _require(data.subalgebra_vectors, "subalgebra", "linearize")
+    mu = _require(data.mu, "mu", "linearize")
     p = _span_or_fail(g, vectors)
     try:
         st = linearize(g, p, mu)

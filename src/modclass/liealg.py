@@ -26,15 +26,16 @@ D d e*_m for every m.  The Jacobi identity is checked as d d e*_m = 0 for
 every m, one pair of table terms at a time, not triple by triple: triples
 that no nonzero product reaches are never visited, and since
 J(D c) = D^2 J(c) the integer sums vanish exactly where the rational ones
-do.  ``ce_differential`` reads the same index, with one accumulator of
-numerators per denominator, summed by ``from_groups``.  Its index sets are
-bit masks, not tuples, over the mask index, a part of ``IntegerTable``
-built lazily from the by-output index the first time a nonzero cochain
-asks for it and read only by ``ce_differential``; only the nonzero sums
-are turned back into tuples.  The Yang-Baxter residual and the dual
-brackets of ``twisted`` do not group: they put every product over one
-common denominator, from the lcms of the denominators of r, psi, the
-table and the vectors, and sum in one int accumulator.
+do.  Every integer pass, here and in ``twisted``, sums into one int
+accumulator over the lcm of its operands' denominators (``lcm_den``):
+``ce_differential`` over q D, with q the lcm of the cochain's
+denominators; the Yang-Baxter residual and the dual brackets over the
+lcms of the denominators of r, psi, the table and the vectors.  So a zero
+sum cancels in ints and only nonzero keys become Fractions.  The index
+sets of ``ce_differential`` are bit masks, not tuples, over the mask
+index, a part of ``IntegerTable`` built lazily from the by-output index
+the first time a nonzero cochain asks for it and read only by
+``ce_differential``; only the nonzero sums are turned back into tuples.
 ``LieAlgebra.bracket``, which builds only the witness of a span that is
 not closed, looks up one table entry per pair of entries.
 
@@ -114,6 +115,11 @@ class JacobiReport:
     residual: Vector | None = None
 
 
+def lcm_den(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of these Fractions; 1 for none."""
+    return math.lcm(*(c.denominator for c in values))
+
+
 class IntegerTable:
     """The bracket table scaled to integers by D, the lcm of its denominators.
 
@@ -129,7 +135,7 @@ class IntegerTable:
     __slots__ = ("scale", "by_output", "_masks")
 
     def __init__(self, dim: int, table: dict[tuple[int, int], SparseVec]):
-        scale = math.lcm(*(c.denominator for entry in table.values() for c in entry.values()))
+        scale = lcm_den(c for entry in table.values() for c in entry.values())
         out: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
         for (i, j), entry in table.items():
             for m, c in entry.items():
@@ -564,40 +570,6 @@ def pullback(c: _Alternating, rows: Sequence[SparseVec]):
     return type(c)(len(rows), c.degree, acc)
 
 
-# numerators of an alternating form, one accumulator per denominator q,
-# keyed by index tuple (by bit mask in ``ce_differential``)
-Key = tuple[int, ...] | int
-Groups = dict[int, dict[Key, int]]
-
-
-def from_groups(groups: Groups) -> dict[Key, Fraction]:
-    """The nonzero sums, at each key, over q of its numerator in
-    ``groups[q]``, divided by q.
-
-    A key with a part in one group only is that part; the parts of any
-    other key are summed pairwise, so that no partial sum carries the
-    denominators of all the others.
-    """
-    out: dict[Key, Fraction] = {}
-    parts: dict[Key, list[Fraction]] = {}
-    for q, acc in groups.items():
-        for key, v in acc.items():
-            if v:
-                f = Fraction(v, q)
-                first = out.setdefault(key, f)
-                if first is not f:
-                    parts.setdefault(key, [first]).append(f)
-    for key, fs in parts.items():
-        while len(fs) > 1:
-            pairs = [a + b for a, b in zip(fs[::2], fs[1::2])]
-            fs = pairs + fs[-1:] if len(fs) % 2 else pairs
-        if fs[0]:
-            out[key] = fs[0]
-        else:
-            del out[key]
-    return out
-
-
 def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
     """Cohomology differential with this package's orientation.
 
@@ -612,22 +584,21 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
         return Cochain.zero(g.dim, 1)
     if not c.terms:
         return Cochain.zero(g.dim, c.degree + 1)
-    # the sums run on ints, over the table scaled by T (``integer_table``),
-    # with one accumulator of numerators for each denominator q of c's
-    # terms, keyed by q T; a cochain of distinct long q costs a Fraction sum.
-    # An increasing index tuple is keyed by its bit mask: putting i < j into
-    # rest passes one transposition per bit of rest below i and one per bit
-    # below j, and since i is not in rest, that count has the parity of the
-    # bits of rest strictly between i and j
+    # the sums run on ints, over the table scaled by T (``integer_table``)
+    # and c scaled by q, the lcm of its denominators, in one accumulator
+    # over q T.  An increasing index tuple is keyed by its bit mask: putting
+    # i < j into rest passes one transposition per bit of rest below i and
+    # one per bit below j, and since i is not in rest, that count has the
+    # parity of the bits of rest strictly between i and j
     view = g.integer_table()
-    tscale, masks = view.scale, view.masks
-    groups: Groups = {}
+    masks = view.masks
+    q = lcm_den(c.terms.values())
+    acc: dict[int, int] = {}
     for idx, coeff in c.terms.items():
-        acc = groups.setdefault(coeff.denominator * tscale, {})
         full = 0
         for m in idx:
             full |= 1 << m
-        num = coeff.numerator
+        num = coeff.numerator * (q // coeff.denominator)
         for t, m in enumerate(idx):
             rest = full ^ (1 << m)
             f = -num if t % 2 else num
@@ -636,7 +607,8 @@ def ce_differential(g: LieAlgebra, c: Cochain) -> Cochain:
                     continue
                 key = rest | bij
                 acc[key] = acc.get(key, 0) + (nw if (rest & between).bit_count() & 1 else w) * f
-    return Cochain(g.dim, c.degree + 1, [(_bits(key), v) for key, v in from_groups(groups).items()])
+    den = q * view.scale
+    return Cochain(g.dim, c.degree + 1, [(_bits(key), Fraction(v, den)) for key, v in acc.items() if v])
 
 
 def _bits(key: int) -> tuple[int, ...]:

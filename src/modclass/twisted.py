@@ -14,15 +14,17 @@ Lie algebra mutually consistent.
 
 With (d e*_m)(x, y) = e*_m([x, y]), the term <a, [r#b, r#c]> is
 (d e*_a)(r#b, r#c), so T(r) = sum over m of e_m ^ r#^*(d e*_m) is a
-pullback along r#, like the psi side.  Both run in one integer loop over
-the sparse rows of r# (``_wedge_sum``): T(r) from the by-output index of
-the table scaled by D (``LieAlgebra.integer_table``), psi from its terms.
-``verify_twisted_cybe`` feeds T(r) and -CYBE_SIGN times the pullback
-through the same loop, and builds the residual as one Multivector.
+pullback along r#, like the psi side.  ``verify_twisted_cybe`` sums both
+in one integer loop over the sparse rows of r# (``_wedge_sum``): T(r) from
+the by-output index of the table scaled by D (``LieAlgebra.integer_table``)
+and -CYBE_SIGN times the pullback from the terms of psi, and builds the
+residual as one Multivector.  T(r) alone is the residual against psi = 0,
+and r#^*psi alone is ``pullback`` of psi along ``sharp_columns``.
 
-That loop and the dual-bracket loop below read the rows of L r#, with L
-the lcm of r's denominators, every entry an int (``_scaled_rows``).  With
-P and D the lcms of the denominators of psi and of the table (and V of the
+That loop and the dual-bracket loop below follow the one rule of every
+integer pass (see ``liealg``): they read the rows of L r#, with L the lcm
+of r's denominators, every entry an int (``_scaled_rows``).  With P and D
+the lcms of the denominators of psi and of the table (and V of the
 vectors a pairing reads), every term is weighted onto the common
 denominator, D P L^3 for the residual and D P V L^2 for the pairings, so
 that every product lands in one int accumulator: zero sums cancel in ints
@@ -54,7 +56,6 @@ at the unit vectors it is the dual table (``_dual_table``, read only by
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ from .liealg import (
     annihilator,
     ce_differential,
     coadjoint_character,
+    lcm_den,
     pullback,
     quotient_character,
     trace_adjoint,
@@ -107,10 +109,6 @@ def _sharp_columns(r: Multivector) -> list[dict[int, Fraction]]:
     return cols
 
 
-def _lcm_den(values) -> int:
-    return math.lcm(*(c.denominator for c in values))
-
-
 def _scaled_rows(r: Multivector, fixed: int, power: int):
     """The rows of L r#, with L the lcm of r's denominators, and the
     weights of a pass over them whose terms read at most ``power`` rows.
@@ -122,7 +120,7 @@ def _scaled_rows(r: Multivector, fixed: int, power: int):
     a term n / d over k rows of r# is the numerator n * over[k] / d over Q
     when d divides fixed.
     """
-    scale = _lcm_den(r.terms.values())
+    scale = lcm_den(r.terms.values())
     rows: list[list[tuple[int, int]]] = [[] for _ in range(r.dim)]
     for (i, j), c in r.terms.items():
         n = c.numerator * (scale // c.denominator)
@@ -146,11 +144,12 @@ def _table_terms(g: LieAlgebra, rows, over):
                 yield w * weight, e_m, rows[i], rows[j]
 
 
-def _psi_terms(psi: Cochain, rows, over, sign: int):
-    """The terms (n, us, vs, xs) of sign * (pullback of psi) for
-    ``_wedge_sum``: one term c row_i ^ row_j ^ row_k per term c e*_i ^
-    e*_j ^ e*_k.  A term with an empty row is skipped before any
+def _psi_terms(psi: Cochain, rows, over):
+    """The terms (n, us, vs, xs) of -CYBE_SIGN * (pullback of psi) for
+    ``_wedge_sum``: one term -CYBE_SIGN c row_i ^ row_j ^ row_k per term
+    c e*_i ^ e*_j ^ e*_k.  A term with an empty row is skipped before any
     arithmetic."""
+    sign = int(-CYBE_SIGN)
     for (i, j, k), c in psi.terms.items():
         if rows[i] and rows[j] and rows[k]:
             yield sign * c.numerator * (over[3] // c.denominator), rows[i], rows[j], rows[k]
@@ -188,35 +187,11 @@ def _wedge_sum(dim: int, q: int, terms) -> Multivector:
     return Multivector(dim, 3, {key: Fraction(v, q) for key, v in acc.items() if v})
 
 
-def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain | None = None) -> None:
+def _check_operands(g: LieAlgebra, r: Multivector, psi: Cochain) -> None:
     if r.degree != 2 or r.dim != g.dim:
         raise ValueError("r must be a bivector on the algebra")
-    if psi is not None and (psi.degree != 3 or psi.dim != g.dim):
+    if psi.degree != 3 or psi.dim != g.dim:
         raise ValueError("psi must be a 3-cochain on the algebra")
-
-
-def cybe_lhs_trivector(g: LieAlgebra, r: Multivector) -> Multivector:
-    """The Yang-Baxter trivector T(r) = sum over m of e_m ^ r#^*(d e*_m).
-
-    Since (d e*_a)(x, y) = e*_a([x, y]), T(r)(a, b, c) is the cyclic sum
-    of (d e*_a)(r#b, r#c), and (e_m ^ beta)(a, b, c) is the cyclic sum of
-    a_m beta(b, c).  It runs on ints, in the loop of the psi pullback
-    (``_wedge_sum``), over the by-output index of the table scaled by D,
-    the lcm of its denominators (``LieAlgebra.integer_table``), and the
-    rows of L r#, in one accumulator over D L^3.  A table term that reads
-    an empty row of r# is skipped.
-    """
-    _check_operands(g, r)
-    rows, over = _scaled_rows(r, g.integer_table().scale, 3)
-    return _wedge_sum(g.dim, over[0], _table_terms(g, rows, over))
-
-
-def psi_pullback_trivector(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
-    """The trivector (a, b, c) -> psi(r#a, r#b, r#c), summed on ints in one
-    accumulator over P L^3, with P the lcm of psi's denominators."""
-    _check_operands(g, r, psi)
-    rows, over = _scaled_rows(r, _lcm_den(psi.terms.values()), 3)
-    return _wedge_sum(g.dim, over[0], _psi_terms(psi, rows, over, 1))
 
 
 @dataclass(frozen=True)
@@ -233,8 +208,8 @@ def _cybe_residual(g: LieAlgebra, r: Multivector, psi: Cochain) -> Multivector:
     cancels in ints.
     """
     _check_operands(g, r, psi)
-    rows, over = _scaled_rows(r, g.integer_table().scale * _lcm_den(psi.terms.values()), 3)
-    terms = chain(_table_terms(g, rows, over), _psi_terms(psi, rows, over, int(-CYBE_SIGN)))
+    rows, over = _scaled_rows(r, g.integer_table().scale * lcm_den(psi.terms.values()), 3)
+    terms = chain(_table_terms(g, rows, over), _psi_terms(psi, rows, over))
     return _wedge_sum(g.dim, over[0], terms)
 
 
@@ -385,8 +360,8 @@ def _dual_brackets(
     D P V L^2, with V the lcm of the vectors' denominators."""
     g, psi = structure.g, structure.psi
     at = transpose(vectors, g.dim)
-    fixed = g.integer_table().scale * _lcm_den(psi.terms.values())
-    rows, over = _scaled_rows(structure.r, fixed * _lcm_den(y for v in at for y in v.values()), 2)
+    fixed = g.integer_table().scale * lcm_den(psi.terms.values())
+    rows, over = _scaled_rows(structure.r, fixed * lcm_den(y for v in at for y in v.values()), 2)
     acc: dict[tuple[int, int, int], int] = {}
     for o, cn, us, xs in _dual_terms(g, psi, at, rows, over):
         for a, an in us:

@@ -153,9 +153,9 @@ class TestAffineEntry:
         assert not diff.is_zero()
         g = affine_entry.g
         assert ce_differential(g, diff).is_zero()
-        from modclass.twisted import psi_pullback_trivector
+        from modclass.liealg import pullback
 
-        assert psi_pullback_trivector(g, affine_entry.structure.r, diff).is_zero()
+        assert pullback(diff, affine_entry.structure.sharp_columns()).is_zero()
 
 
 class TestQEntries:

@@ -54,13 +54,13 @@ def _digits_value(text: str) -> Fraction:
 @pytest.fixture()
 def long_residual_file(tmp_path):
     from modclass.liealg import LieAlgebra, Multivector
-    from modclass.twisted import cybe_lhs_trivector
+    from oracles import cybe_lhs_trivector_fraction
 
     path = tmp_path / "heisenberg_long.lie"
     path.write_text(HEISENBERG_LONG_R, encoding="utf-8")
     g = LieAlgebra(["x", "y", "z"], {(0, 1): {2: 1}})
     coeff = Fraction(10 ** 3000 - 1, 9) * 7
-    residual = cybe_lhs_trivector(g, Multivector(3, 2, {(0, 1): coeff}))
+    residual = cybe_lhs_trivector_fraction(g, Multivector(3, 2, {(0, 1): coeff}))
     expected = residual.coefficient(0, 1, 2)
     assert abs(expected.numerator).bit_length() > 3.33 * sys.get_int_max_str_digits()
     return path, expected
@@ -496,6 +496,31 @@ class TestLinearize:
         path = tmp_path / "nomu.lie"
         path.write_text(serialize(stripped), encoding="utf-8")
         assert main(["linearize", str(path)]) == 2
+
+
+class TestMissingSubalgebra:
+    TEXT = "[algebra]\nlabels = x y\nbracket x y = y\n[xi]\nterm x = 1\n[mu]\nterm x y = 1\n"
+
+    @pytest.mark.parametrize("command", ["frobenius", "linearize"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_names_the_file_section(self, tmp_path, capsys, command, fmt):
+        # the message names the section a file can hold, not the field of
+        # the parsed data that keeps its vectors
+        path = tmp_path / "nosub.lie"
+        path.write_text(self.TEXT, encoding="utf-8")
+        assert main([command, str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        message = f"the {command} command requires a [subalgebra] section"
+        if fmt == "json":
+            assert json.loads(captured.out) == {
+                "command": command,
+                "status": "malformed",
+                "error": message,
+            }
+        else:
+            assert captured.out == ""
+            assert captured.err == f"malformed input: {message}\n"
+        assert parse(self.TEXT + "[subalgebra]\nvector = x\n").subalgebra_vectors
 
 
 class TestCatalog:

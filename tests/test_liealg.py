@@ -57,6 +57,7 @@ from oracles import (
     trace_by_table,
     zeros,
 )
+from test_twisted import gl3_rescaled
 
 
 def F(x):
@@ -152,14 +153,15 @@ class TestIntegerTable:
         assert view.by_output == [[], [(0, 1, 6)], [(0, 2, 60)], [(0, 1, 8), (1, 2, -3)]]
 
     def test_one_view_per_algebra(self, affine_entry):
-        # built by the Jacobi check at construction, read again by d and T(r)
-        from modclass.twisted import cybe_lhs_trivector
+        # built by the Jacobi check at construction, read again by d and
+        # the Yang-Baxter residual
+        from modclass.twisted import _cybe_residual
 
         st = affine_entry.structure
         g = LieAlgebra(st.g.labels, st.g.table)
         view = g.integer_table()
         ce_differential(g, st.psi)
-        cybe_lhs_trivector(g, st.r)
+        _cybe_residual(g, st.r, st.psi)
         assert g.integer_table() is view
         assert LieAlgebra([], {}).integer_table().scale == 1
 
@@ -450,8 +452,6 @@ def random_rational_cochain(rng, dim, degree, density=0.5):
 
 @functools.cache
 def differential_algebra(name):
-    from test_twisted import gl3_rescaled
-
     return {
         "heisenberg": heisenberg,
         "solvable4": solvable4,
@@ -530,6 +530,59 @@ class TestDifferential:
         assert dpsi == ce_differential_fraction(g, psi)
         # -e*_88 ^ d e*_89 ^ e*_99 with the term e*_81 ^ e*_19 of d e*_89
         assert dpsi.coefficient(e("e19"), e("e81"), e("e88"), e("e99")) == 1
+
+    def test_parts_over_different_denominators_cancel(self):
+        # psi = d mu + nu with mu over 7 and over a 30-digit prime-free
+        # denominator: at (e13, e21, e32) the terms of psi over 7, big and
+        # 7 big put parts that cancel, so that key is absent from d psi
+        g = gl(3)
+        e = g.index
+        big = 10**29 + 7
+        mu = Cochain(g.dim, 1, {
+            (e("e11"),): Fraction(1, 7),
+            (e("e12"),): Fraction(2, 7),
+            (e("e22"),): Fraction(1, big),
+            (e("e23"),): Fraction(3, big),
+        })
+        psi = ce_differential_fraction(g, mu) + Cochain(g.dim, 2, {(e("e11"), e("e12")): 1})
+        key = (e("e13"), e("e21"), e("e32"))
+        parts = [
+            ce_differential_fraction(g, Cochain(g.dim, 2, {idx: c})).coefficient(*key)
+            for idx, c in psi.terms.items()
+        ]
+        parts = [x for x in parts if x]
+        assert {x.denominator for x in parts} == {7, big, 7 * big}
+        assert sum(parts) == 0
+        dpsi = ce_differential(g, psi)
+        assert dpsi == ce_differential_fraction(g, psi)
+        assert key not in dpsi.terms
+        assert not dpsi.is_zero()
+
+    def test_rescaled_closed_twist(self, q_entries):
+        # q(3) in the basis f_i = s_i e_i, each s_i a ratio of two seeded
+        # 20-digit ints: the table becomes c^k_ij s_i s_j / s_k and psi
+        # becomes psi_ijk s_i s_j s_k, which stays closed, so the parts of
+        # d psi, over long and unequal denominators, cancel
+        rng = random.Random(20)
+        st = q_entries[3].structure
+        s = [
+            Fraction(rng.randrange(10**19, 10**20), rng.randrange(10**19, 10**20))
+            for _ in range(st.g.dim)
+        ]
+        table = {
+            (i, j): {k: c * s[i] * s[j] / s[k] for k, c in entry.items()}
+            for (i, j), entry in st.g.table.items()
+        }
+        g = LieAlgebra(st.g.labels, table)
+        psi = Cochain(g.dim, 3, {
+            (i, j, k): c * s[i] * s[j] * s[k] for (i, j, k), c in st.psi.terms.items()
+        })
+        assert len({c.denominator for c in psi.terms.values()}) > 1
+        assert min(c.denominator for c in psi.terms.values()) > 10**20
+        assert g.integer_table().scale > 10**20
+        dpsi = ce_differential(g, psi)
+        assert dpsi.is_zero()
+        assert dpsi == ce_differential_fraction(g, psi)
 
     def test_mask_index_is_built_once_on_demand(self):
         g0 = gl(3)

@@ -18,6 +18,7 @@ from modclass.liealg import (
     annihilator,
     ce_differential,
     coadjoint_character,
+    pullback,
     span_subalgebra,
     trace_adjoint,
 )
@@ -33,10 +34,8 @@ from modclass.twisted import (
     _dual_modular,
     _dual_table,
     carrier_and_kernel,
-    cybe_lhs_trivector,
     dual_lie_algebra,
     modular_class,
-    psi_pullback_trivector,
     relation_check,
     verify_twisted_cybe,
 )
@@ -59,6 +58,18 @@ from oracles import (
 
 def F(x):
     return Fraction(x)
+
+
+def cybe_lhs(g, r):
+    """T(r), the Yang-Baxter residual of r against psi = 0."""
+    return verify_twisted_cybe(g, r, Cochain.zero(g.dim, 3)).residual
+
+
+def psi_pullback(g, r, psi):
+    """The trivector (a, b, c) -> psi(r#a, r#b, r#c): the pullback of psi
+    along the columns of r#."""
+    cols = TwistedTriangularStructure.unchecked(g, r, psi).sharp_columns()
+    return Multivector(g.dim, 3, pullback(psi, cols).terms)
 
 
 def cybe_lhs_direct(g, r):
@@ -169,7 +180,7 @@ class TestCybeOracle:
         for g in (affine_algebra(), gl(2), gl(3), gl3_rescaled()):
             for _ in range(6):
                 r = random_multivector(rng, g.dim, 2, density=0.3)
-                assert cybe_lhs_trivector(g, r) == cybe_lhs_direct(g, r)
+                assert cybe_lhs(g, r) == cybe_lhs_direct(g, r)
 
     def test_lhs_matches_fraction_loop(self, q_entries, gg_entries):
         # rational r with mixed denominators, and the catalog's r; the dual
@@ -185,10 +196,10 @@ class TestCybeOracle:
                     for idx in itertools.combinations(range(g.dim), 2)
                     if rng.random() < 0.25
                 })
-                assert cybe_lhs_trivector(g, r) == cybe_lhs_trivector_fraction(g, r)
+                assert cybe_lhs(g, r) == cybe_lhs_trivector_fraction(g, r)
         for entry in (q_entries[4], gg_entries[4]):
             st = entry.structure
-            assert cybe_lhs_trivector(st.g, st.r) == cybe_lhs_trivector_fraction(st.g, st.r)
+            assert cybe_lhs(st.g, st.r) == cybe_lhs_trivector_fraction(st.g, st.r)
 
     def test_lhs_rejects_an_r_off_the_algebra(self):
         g = gl(3)
@@ -198,7 +209,7 @@ class TestCybeOracle:
             Multivector(9, 3, {(0, 1, 2): F(1)}),
         ):
             with pytest.raises(ValueError, match="r must be a bivector"):
-                cybe_lhs_trivector(g, r)
+                _cybe_residual(g, r, Cochain.zero(g.dim, 3))
 
     def test_pullback_matches_direct_formula(self):
         rng = random.Random(24)
@@ -206,23 +217,22 @@ class TestCybeOracle:
             for _ in range(6):
                 r = random_multivector(rng, g.dim, 2, density=0.3)
                 psi = random_cochain(rng, g.dim, 3, density=0.3)
-                assert psi_pullback_trivector(g, r, psi) == psi_pullback_direct(
-                    g, r, psi
-                )
+                assert psi_pullback(g, r, psi) == psi_pullback_direct(g, r, psi)
 
 
 def assert_integer_residual(g, r, psi):
-    """The integer pullback and the one-pass residual against the Fraction loops.
+    """The pullback of psi, T(r) and the one-pass residual against the
+    Fraction loops.
 
     Returns the residual.  A closed psi goes through ``verify_twisted_cybe``,
     any other through the residual it computes after the d psi check.
     """
-    pullback = psi_pullback_trivector(g, r, psi)
-    assert pullback == psi_pullback_trivector_fraction(g, r, psi)
+    pulled = psi_pullback(g, r, psi)
+    assert pulled == psi_pullback_trivector_fraction(g, r, psi)
     dpsi = ce_differential(g, psi)
     assert dpsi == ce_differential_fraction(g, psi)
-    expected = cybe_lhs_trivector(g, r) - CYBE_SIGN * pullback
-    assert expected == cybe_lhs_trivector_fraction(g, r) - CYBE_SIGN * pullback
+    expected = cybe_lhs(g, r) - CYBE_SIGN * pulled
+    assert expected == cybe_lhs_trivector_fraction(g, r) - CYBE_SIGN * pulled
     if dpsi.is_zero():
         result = verify_twisted_cybe(g, r, psi)
         assert result.residual == expected
@@ -238,9 +248,9 @@ def mixed_rational(rng, long_digits=30):
 
 
 class TestIntegerResidual:
-    """psi_pullback_trivector and the residual of verify_twisted_cybe, summed
-    on ints, against the Fraction loops; the residual must equal
-    T(r) - CYBE_SIGN * pullback, also where it is not zero."""
+    """The residual of verify_twisted_cybe, summed on ints, against the
+    Fraction loops; the residual must equal T(r) - CYBE_SIGN * pullback,
+    also where it is not zero."""
 
     TWIST_SCALES = (F(0), F(2), Fraction(1, 2), F(-1))
 
@@ -248,7 +258,7 @@ class TestIntegerResidual:
         """The structure's residual is zero; a rescaled twist leaves one
         exactly where psi pulls back to a nonzero trivector."""
         assert assert_integer_residual(st.g, st.r, st.psi).is_zero()
-        pulled_back = not psi_pullback_trivector(st.g, st.r, st.psi).is_zero()
+        pulled_back = not psi_pullback(st.g, st.r, st.psi).is_zero()
         for c in self.TWIST_SCALES:
             residual = assert_integer_residual(st.g, st.r, c * st.psi)
             assert residual.is_zero() == (not pulled_back)
@@ -368,8 +378,8 @@ class TestCommonDenominator:
         g, r, psi = operands
         lhs = cybe_lhs_trivector_fraction(g, r)
         pulled = psi_pullback_trivector_fraction(g, r, psi)
-        assert cybe_lhs_trivector(g, r) == lhs
-        assert psi_pullback_trivector(g, r, psi) == pulled
+        assert cybe_lhs(g, r) == lhs
+        assert psi_pullback(g, r, psi) == pulled
         assert _cybe_residual(g, r, psi) == lhs - CYBE_SIGN * pulled
 
     def test_dual_brackets_match_the_dense_oracle(self):
@@ -460,13 +470,14 @@ class TestCommonDenominator:
 
 
 class TestPullbackAgainstWedgeSum:
-    """psi_pullback_trivector equals the per-term wedge sum."""
+    """The pullback of psi along r# equals the per-term wedge sum, and so
+    does the psi part of the one-pass residual."""
 
     @staticmethod
     def assert_pullback_matches(st):
-        assert psi_pullback_trivector(st.g, st.r, st.psi) == psi_pullback_by_wedges(
-            st.g, st.r, st.psi
-        )
+        wedges = psi_pullback_by_wedges(st.g, st.r, st.psi)
+        assert psi_pullback(st.g, st.r, st.psi) == wedges
+        assert _cybe_residual(st.g, st.r, st.psi) == cybe_lhs(st.g, st.r) - CYBE_SIGN * wedges
 
     def test_affine(self, affine_entry):
         self.assert_pullback_matches(affine_entry.structure)
@@ -529,8 +540,8 @@ class TestVerify:
         assert CYBE_SIGN == Fraction(-1)
         g = affine_entry.g
         st = affine_entry.structure
-        lhs = cybe_lhs_trivector(g, st.r)
-        pull = psi_pullback_trivector(g, st.r, st.psi)
+        lhs = cybe_lhs(g, st.r)
+        pull = psi_pullback(g, st.r, st.psi)
         assert (lhs - CYBE_SIGN * pull).is_zero()
         assert not (lhs + CYBE_SIGN * pull).is_zero()
 
