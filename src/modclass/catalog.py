@@ -154,7 +154,7 @@ class CatalogEntry:
         report = self.compute_report()
         if report.carrier.dim != self.expected_carrier_dim:
             failures.append("carrier_dim")
-        if report.carrier.basis != self.subalgebra.basis:
+        if report.carrier.rows != self.subalgebra.rows:
             failures.append("carrier_span")
         if report.representative != self.expected_representative:
             failures.append("representative")
@@ -172,7 +172,7 @@ def affine_example() -> CatalogEntry:
     mu = Cochain(g.dim, 2, pairs)
     psi = Cochain(g.dim, 3, [(u("e11", "e13", "e23"), -1), (u("e22", "e13", "e23"), -1)])
     psi1 = psi + Cochain(g.dim, 3, [(u("e12", "e21", "e22"), -1), (u("e11", "e21", "e12"), 1)])
-    span = [g.basis_vector(g.index(lab)) for lab in ("e11", "e22", "e13", "e23")]
+    span = [{g.index(lab): 1} for lab in ("e11", "e22", "e13", "e23")]
     p = span_subalgebra(g, span)
     structure = TwistedTriangularStructure(g, r, psi)
     return CatalogEntry(
@@ -190,11 +190,7 @@ def affine_example() -> CatalogEntry:
 
 def q_subalgebra(g: LieAlgebra, n: int) -> Subalgebra:
     """Rows 1..n-1 of gl(n): the codimension-n carrier of the q-family."""
-    span = [
-        g.basis_vector(g.index(_label(i, j)))
-        for i in range(1, n)
-        for j in range(1, n + 1)
-    ]
+    span = [{g.index(_label(i, j)): 1} for i in range(1, n) for j in range(1, n + 1)]
     return span_subalgebra(g, span)
 
 
@@ -282,9 +278,9 @@ def p1_subalgebra(g: LieAlgebra, n: int) -> Subalgebra:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j and not (j == 1 and i >= 2):
-                span.append(g.basis_vector(g.index(_label(i, j))))
+                span.append({g.index(_label(i, j)): 1})
     for k in range(1, n):
-        span.append(g.basis_vector(g.index(f"h{k}")))
+        span.append({g.index(f"h{k}"): 1})
     return span_subalgebra(g, span)
 
 

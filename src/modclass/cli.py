@@ -70,7 +70,9 @@ def _alt_text(labels, alt, star: bool) -> list[str]:
 
 
 def _vector_json(labels, vec) -> dict[str, str]:
-    return {labels[i]: rational_str(c) for i, c in enumerate(vec) if c != 0}
+    """The nonzero entries of a dense or sparse vector by label, in index order."""
+    items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
+    return {labels[i]: rational_str(c) for i, c in items if c != 0}
 
 
 def _covector_str(labels, vec) -> str:
@@ -229,9 +231,9 @@ def cmd_modular(args, report: _Report) -> None:
     report.add(f"carrier dim: {mc.carrier.dim}", "carrier_dim", mc.carrier.dim)
     report.add(
         "carrier basis: "
-        + (", ".join(combination_str(b, g.labels) for b in mc.carrier.basis) or "(none)"),
+        + (", ".join(combination_str(b, g.labels) for b in mc.carrier.rows) or "(none)"),
         "carrier_basis",
-        [_vector_json(g.labels, b) for b in mc.carrier.basis],
+        [_vector_json(g.labels, b) for b in mc.carrier.rows],
     )
     report.add(
         "kernel basis: "

@@ -43,8 +43,8 @@ A ``Multivector`` or ``Cochain`` keeps a term's Fraction as given when its
 sorted index slot is new, and adds or subtracts only when a slot repeats.
 
 Vectors are the ``SparseVec`` dicts of ``linalg``: ``LieAlgebra.bracket``
-takes and returns them, and a ``Subalgebra`` is built from the sparse rows
-of its rref basis, from which it derives the dense ``basis``; dense tuples
+takes and returns them, and a ``Subalgebra`` is the sparse rows of its
+rref basis; its dense ``basis`` is built on first read.  Dense tuples
 appear only at the public boundary (``basis``, ``basis_vector``,
 ``from_coords``, witnesses).  No table of a subalgebra p is built: its
 sums read the by-output index of the parent along the rows of p.
@@ -631,19 +631,19 @@ class Subalgebra:
     ``rows[s]``, a sparse vector, is 1 at its pivot coordinate ``pivots[s]``
     and 0 at the other pivots; the remaining coordinates, ``complement``,
     index the canonical complement, spanned by their unit vectors.
-    ``basis`` holds the same basis as dense tuples.  The constructor takes
-    closure on trust: ``span_subalgebra`` checks it (``check_closed``),
-    and ``twisted.carrier_and_kernel`` checks it unless the structure is
-    verified.
+    ``basis`` gives the same basis as dense tuples, built on first read.
+    The constructor takes closure on trust: ``span_subalgebra`` checks it
+    (``check_closed``), and ``twisted.carrier_and_kernel`` checks it
+    unless the structure is verified.
     """
 
-    __slots__ = ("parent", "basis", "rows", "pivots", "complement", "_slot")
+    __slots__ = ("parent", "rows", "pivots", "complement", "_slot", "_basis")
 
     def __init__(self, parent: LieAlgebra, rows: Sequence[SparseVec], pivots: Sequence[int]):
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "basis", tuple(dense(r, parent.dim) for r in self.rows))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_basis", None)
         pivot_set = set(pivots)
         object.__setattr__(
             self, "complement", tuple(i for i in range(parent.dim) if i not in pivot_set)
@@ -655,7 +655,13 @@ class Subalgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(dense(r, self.parent.dim) for r in self.rows))
+        return self._basis
 
     def coords_of(self, v: SparseVec) -> SparseVec | None:
         """Sparse coordinates of v in the canonical basis, or None if outside.
@@ -681,11 +687,15 @@ class Subalgebra:
         return tuple(out)
 
     def labels(self) -> tuple[str, ...]:
-        # a row with a single entry has it at its pivot
-        return tuple(
-            self.parent.labels[p] if row == {p: 1} else f"v{s}"
-            for s, (p, row) in enumerate(zip(self.pivots, self.rows))
-        )
+        """A unit row takes its parent label (its one entry is at its pivot);
+        row s otherwise is ``v{s}``, primed while that is a parent label."""
+        out = []
+        for s, (p, row) in enumerate(zip(self.pivots, self.rows)):
+            name = self.parent.labels[p] if row == {p: 1} else f"v{s}"
+            while row != {p: 1} and name in self.parent._index:
+                name += "'"
+            out.append(name)
+        return tuple(out)
 
     def check_closed(self) -> None:
         """Raise NotClosedError unless the span is closed under the bracket.
@@ -702,7 +712,7 @@ class Subalgebra:
         if failing:
             s, t = min(failing)
             w = dense(g.bracket(self.rows[s], self.rows[t]), g.dim)
-            raise NotClosedError((self.basis[s], self.basis[t], w))
+            raise NotClosedError((dense(self.rows[s], g.dim), dense(self.rows[t], g.dim), w))
 
     def restrict_cochain(self, c: Cochain) -> Cochain:
         """Pull a cochain on the parent back along the inclusion, the map
@@ -725,8 +735,9 @@ class Subalgebra:
         )
 
 
-def span_subalgebra(g: LieAlgebra, vectors: Sequence[Sequence[Fraction]]) -> Subalgebra:
-    """Canonicalize a spanning set of dense vectors and verify bracket closure."""
+def span_subalgebra(g: LieAlgebra, vectors: Sequence[Vector | SparseVec]) -> Subalgebra:
+    """Canonicalize a spanning set of dense or sparse vectors and verify
+    bracket closure."""
     reduced, pivots, rank = rref(Matrix(vectors, g.dim))
     sub = Subalgebra(g, reduced.sparse_rows[:rank], pivots)
     sub.check_closed()

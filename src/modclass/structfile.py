@@ -426,23 +426,26 @@ def serialize(data: StructureData) -> str:
     if data.name:
         lines.append(f"name = {data.name}")
     lines.append(_algebra_block(g))
-    for sec, obj in (("r", data.r), ("psi", data.psi)):
-        if obj is not None:
-            lines.append(f"[{sec}]")
-            for idx, coeff in obj.sorted_terms():
-                mono = " ".join(g.labels[a] for a in idx)
-                lines.append(f"term {mono} = {rational_str(coeff)}")
+    lines += _term_sections(g.labels, (("r", data.r), ("psi", data.psi)))
     if data.subalgebra_vectors is not None:
         lines.append("[subalgebra]")
         for v in data.subalgebra_vectors:
             lines.append(f"vector = {combination_str(v, g.labels)}")
-    for sec, obj in (("mu", data.mu), ("xi", data.xi)):
+    lines += _term_sections(g.labels, (("mu", data.mu), ("xi", data.xi)))
+    return "\n".join(lines) + "\n"
+
+
+def _term_sections(labels: tuple[str, ...], sections) -> list[str]:
+    """The ``term`` lines of each (name, multivector or cochain) section
+    that is present, under its ``[name]`` header."""
+    lines = []
+    for sec, obj in sections:
         if obj is not None:
             lines.append(f"[{sec}]")
             for idx, coeff in obj.sorted_terms():
-                mono = " ".join(g.labels[a] for a in idx)
+                mono = " ".join(labels[a] for a in idx)
                 lines.append(f"term {mono} = {rational_str(coeff)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def from_catalog_entry(entry) -> StructureData:

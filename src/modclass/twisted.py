@@ -75,7 +75,7 @@ from .liealg import (
     trace_adjoint,
     transpose,
 )
-from .linalg import Matrix, SparseVec, Vector, dense, rref, sparse
+from .linalg import Matrix, SparseVec, Vector, dense, rref
 
 #: Global sign relating T(r) to the pullback of psi, frozen once.
 CYBE_SIGN = Fraction(-1)
@@ -437,20 +437,6 @@ def carrier_and_kernel(
     return carrier, kernel
 
 
-def restricted_sharp(
-    structure: TwistedTriangularStructure, carrier: Subalgebra, chi: Cochain
-) -> Vector:
-    """Apply r# to a 1-cochain on the carrier via extension by zero.
-
-    The extension vanishes on the canonical complement.  Two extensions of
-    chi differ by an element of ann(carrier), the kernel of r#, so the
-    image does not depend on that choice; ``modular_class`` checks the
-    kernel condition.
-    """
-    image = structure.sharp_apply(carrier.extend_cochain_by_zero(chi))
-    return dense(image, structure.g.dim)
-
-
 @dataclass(frozen=True)
 class CrossCheck:
     passed: bool
@@ -478,9 +464,10 @@ def modular_class(structure: TwistedTriangularStructure) -> ModularClassReport:
     g/p by the induced action.  The two actions are dual, so their
     characters, computed independently as traces, must be opposite; a
     mismatch is an InternalDisagreementError.  The representative is the
-    image of the quotient character under the restricted r#.  It must lie
+    image under r# of the quotient character, extended by zero on the
+    canonical complement (``Subalgebra.extend_cochain_by_zero``).  It must lie
     in the carrier and be a 1-cocycle of the dual Lie algebra, and r# must
-    vanish on the kernel, so that the restricted r# does not depend on the
+    vanish on the kernel, so that the image does not depend on the
     complement used to extend a character; each is a recorded crosscheck.
     The ``sharp_homomorphism`` crosscheck comes from ``ensure_verified``:
     r#[e_a*, e_b*]_r - [r#e_a*, r#e_b*] = -R(e_a*, e_b*, .), and the
@@ -506,8 +493,8 @@ def modular_class(structure: TwistedTriangularStructure) -> ModularClassReport:
             "r# vanishes on the kernel, so no choice of complement matters",
         ),
     }
-    representative = restricted_sharp(structure, carrier, chi_quotient)
-    sparse_rep = sparse(representative)
+    sparse_rep = structure.sharp_apply(carrier.extend_cochain_by_zero(chi_quotient))
+    representative = dense(sparse_rep, g.dim)
 
     checks["representative_in_carrier"] = CrossCheck(
         carrier.coords_of(sparse_rep) is not None,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -17,7 +18,14 @@ from modclass.catalog import (
     q_psi_discrepancy,
     sl,
 )
-from modclass.liealg import Cochain, LieAlgebra, Multivector, ce_differential, check_jacobi
+from modclass.liealg import (
+    Cochain,
+    LieAlgebra,
+    Multivector,
+    Subalgebra,
+    ce_differential,
+    check_jacobi,
+)
 from modclass.linalg import Matrix, solve
 from oracles import dense_bracket, entries, from_columns, mat_sub, matmul
 
@@ -188,6 +196,45 @@ class TestQEntries:
         d3 = q_psi_discrepancy(3)
         assert not d3.is_zero()
         assert q_psi_discrepancy(3).terms == d3.terms  # deterministic
+
+
+class TestCheckExpectedControls:
+    """``check_expected`` names each expected value that an entry changed
+    by ``dataclasses.replace`` no longer recomputes."""
+
+    @pytest.fixture(params=["affine", "q3"])
+    def entry(self, request, affine_entry, q_entries):
+        return affine_entry if request.param == "affine" else q_entries[3]
+
+    @staticmethod
+    def last_units(entry, d):
+        """The subalgebra taken on trust from the last d unit rows of g."""
+        units = range(entry.g.dim - d, entry.g.dim)
+        p = Subalgebra(entry.g, [{k: F(1)} for k in units], units)
+        assert p.rows != entry.subalgebra.rows
+        return p
+
+    def test_other_span_of_same_dim(self, entry):
+        p = self.last_units(entry, entry.expected_carrier_dim)
+        assert dataclasses.replace(entry, subalgebra=p).check_expected() == ["carrier_span"]
+
+    def test_other_span_of_other_dim(self, entry):
+        p = self.last_units(entry, entry.expected_carrier_dim - 1)
+        changed = dataclasses.replace(entry, subalgebra=p, expected_carrier_dim=p.dim)
+        assert changed.check_expected() == ["carrier_dim", "carrier_span"]
+
+    def test_changed_representative(self, entry):
+        theta = list(entry.expected_representative)
+        theta[0] += 1
+        changed = dataclasses.replace(entry, expected_representative=tuple(theta))
+        assert changed.check_expected() == ["representative"]
+
+    def test_changed_printed_r(self, entry):
+        r = entry.printed_r + Multivector(entry.g.dim, 2, {(0, 1): F(1)})
+        assert dataclasses.replace(entry, printed_r=r).check_expected() == ["printed_r"]
+
+    def test_unchanged_entry_matches(self, entry):
+        assert dataclasses.replace(entry).check_expected() == []
 
 
 class TestGGEntries:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import modclass.twisted
-from modclass.catalog import affine_example, q_example
+from modclass.catalog import affine_example, gl, q_example
 from modclass import structfile
 from modclass.liealg import (
     Cochain,
@@ -20,7 +20,7 @@ from modclass.liealg import (
 )
 from modclass.twisted import TwistedTriangularStructure, carrier_and_kernel
 from modclass.cli import _parser, main
-from modclass.structfile import from_catalog_entry, parse, serialize
+from modclass.structfile import StructureData, from_catalog_entry, parse, serialize
 from test_golden import RECORD, case_id, run_case
 
 JACOBI_VIOLATOR = (
@@ -251,6 +251,70 @@ class TestCarrierTable:
         # the patch is live: the unverified structure gets the closure check
         with pytest.raises(AssertionError, match="carrier closure"):
             carrier_and_kernel(unverified)
+
+
+class TestNoDenseBasis:
+    """No report builds the dense basis of a subalgebra (``Subalgebra.basis``):
+    the carrier is printed and compared from its sparse rows."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_basis(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a dense basis was built")
+
+        monkeypatch.setattr(Subalgebra, "basis", property(refuse))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["affine", "q3", "gg3"])
+    @pytest.mark.parametrize("command", ["verify", "modular", "relations", "frobenius"])
+    def test_reports_without_dense_basis(self, command, name, fmt):
+        expected = json.loads(RECORD.read_text(encoding="utf-8"))
+        assert run_case(command, fmt, name) == expected[case_id(command, fmt, name)]
+        # the patch is live: the structure file of an entry prints the basis
+        with pytest.raises(AssertionError, match="dense basis"):
+            from_catalog_entry(affine_example())
+
+    def test_catalog_check_without_dense_basis(self, capsys):
+        assert main(["catalog", "q", "--n", "3", "--check"]) == 0
+        assert "expected values: match" in capsys.readouterr().out
+
+
+class TestCarrierLabels:
+    """A generated carrier label ``v{s}`` that is also a label of the algebra
+    takes primes, so reports keep one entry per carrier basis vector."""
+
+    @pytest.fixture()
+    def colliding_file(self, tmp_path):
+        # gl(3) with e33 renamed v0: the carrier row e11 + e22 is named v0
+        g3 = gl(3)
+        g = LieAlgebra([lab.replace("e33", "v0") for lab in g3.labels], g3.table)
+        text = serialize(StructureData(algebra=g)) + (
+            "[subalgebra]\nvector = e11 + e22\nvector = e12\nvector = e32\nvector = v0\n"
+            "[mu]\nterm e11 e12 = 1\nterm e32 v0 = 1\n"
+        )
+        source, target = tmp_path / "collide.lie", tmp_path / "collide-lin.lie"
+        source.write_text(text, encoding="utf-8")
+        assert main(["linearize", str(source), "-o", str(target)]) == 0
+        return target
+
+    def test_labels_are_distinct(self, colliding_file):
+        data = parse(colliding_file.read_text(encoding="utf-8"))
+        carrier, _ = carrier_and_kernel(TwistedTriangularStructure(data.algebra, data.r, data.psi))
+        assert carrier.labels() == ("v0'", "e12", "e32", "v0")
+
+    def test_text_report_keeps_both_terms(self, colliding_file, capsys):
+        capsys.readouterr()
+        assert main(["modular", str(colliding_file)]) == 0
+        out = capsys.readouterr().out
+        assert "character on kernel: - v0'* + v0*" in out
+        assert "character on quotient: v0'* - v0*" in out
+
+    def test_json_report_keeps_both_values(self, colliding_file, capsys):
+        capsys.readouterr()
+        assert main(["modular", str(colliding_file), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chi_kernel"] == {"v0'": "-1", "v0": "1"}
+        assert payload["chi_quotient"] == {"v0'": "1", "v0": "-1"}
 
 
 class TestNoSparseBracket:

@@ -26,7 +26,7 @@ from modclass.liealg import (
     span_subalgebra,
     whole_algebra,
 )
-from modclass.linalg import invert
+from modclass.linalg import dense, invert
 from oracles import (
     FrobeniusCheck,
     column,
@@ -43,13 +43,18 @@ from modclass.twisted import (
     TwistedTriangularStructure,
     carrier_and_kernel,
     modular_class,
-    restricted_sharp,
     verify_twisted_cybe,
 )
 
 
 def F(x):
     return Fraction(x)
+
+
+def restricted_sharp(st, p, chi):
+    """r# of a 1-cochain on p, extended by zero on the canonical
+    complement, as a dense vector."""
+    return dense(st.sharp_apply(p.extend_cochain_by_zero(chi)), st.g.dim)
 
 
 def borel_sl2():
